@@ -24,7 +24,7 @@ import numpy as np
 from .config import Config, ConfigError
 from .geometry import Camera
 from .metrics import psnr, worst_percentile_psnr
-from .proposal import ProposalNet, blur_bins, load_checkpoint
+from .proposal import CheckpointError, ProposalNet, blur_bins, load_checkpoint
 from .render import (PixelSamples, ProbeOutput, RenderOutput, camera_geometry,
                      render_full, render_probe, render_reference,
                      render_uniform)
@@ -42,7 +42,8 @@ CSV_HEADER = "method,spp,trial,psnr,worst10,worst1,worst01,ms"
 
 
 class MissingCheckpointError(RuntimeError):
-    """Raised when proposal.source=checkpoint has no usable checkpoint file."""
+    """Raised when proposal.source=checkpoint has no usable checkpoint file:
+    none named, none at the path, or a malformed one."""
 
 
 @dataclass
@@ -58,10 +59,8 @@ class ProposalField:
 
     def parent_rows(self, height: int, width: int) -> np.ndarray:
         """Full-res pixel -> flattened probe pixel index (nearest neighbor)."""
-        ph = height // self.factor
         rows = (np.arange(height) // self.factor)[:, None] * (width // self.factor)
         cols = (np.arange(width) // self.factor)[None, :]
-        del ph
         return (rows + cols).ravel()
 
 
@@ -92,8 +91,10 @@ class BenchSpec:
     seed: int = 0
     z_bins: int = 192
     probe_factor: int = 4
+    probe_mode: str = "midpoint"
     reference_spp: int = 384
     tau: float = 0.98
+    merge_probe: bool = True
     proposal_source: str = "probe-lift"
     checkpoint: str = ""
     hidden_channels: int = 64
@@ -121,8 +122,10 @@ class BenchSpec:
                    trials=cfg.get_int("bench.trials"), seed=seed,
                    z_bins=cfg.get_int("render.z_bins"),
                    probe_factor=cfg.get_int("render.probe_factor"),
+                   probe_mode=cfg.get("render.probe_mode"),
                    reference_spp=cfg.get_int("render.reference_spp"),
                    tau=cfg.get_float("sampler.tau"),
+                   merge_probe=cfg.get_bool("sampler.merge_probe_samples"),
                    proposal_source=cfg.get("proposal.source"),
                    checkpoint=cfg.get("proposal.checkpoint"),
                    hidden_channels=cfg.get_int("proposal.hidden_channels"),
@@ -211,6 +214,9 @@ def prepare_proposals(scene: SceneOracle, camera: Camera, z_bins: int = 192,
                     f"checkpoint {checkpoint!r} not found; train one with "
                     "`volsampler train-proposal`, or set proposal.source=probe-lift "
                     "for sampler-free benchmarking") from None
+            except CheckpointError as e:
+                raise MissingCheckpointError(
+                    f"checkpoint {checkpoint!r} is unusable: {e}") from None
         phat = net.predict(probe)
         if phat.shape[-2:] != (h, w):
             raise ConfigError("checkpoint resolution does not match the camera")
@@ -436,7 +442,8 @@ def run_bench(spec: BenchSpec, out_dir=None, write_previews: bool = True
         prop = prepare_proposals(scene, camera, spec.z_bins, spec.probe_factor,
                                  spec.proposal_source, spec.checkpoint,
                                  spec.hidden_channels, spec.lift_blur_sigma,
-                                 seed=spec.seed, workers=spec.workers)
+                                 probe_mode=spec.probe_mode, seed=spec.seed,
+                                 workers=spec.workers)
     else:
         _, _, t_near, t_far = camera_geometry(camera)
 
@@ -452,7 +459,8 @@ def run_bench(spec: BenchSpec, out_dir=None, write_previews: bool = True
                                          seed=seed_t, workers=spec.workers)
                 else:
                     samples = method_samples(method, prop, spp, seed_t, spec.tau,
-                                             camera.height, camera.width)
+                                             camera.height, camera.width,
+                                             merge_probe=spec.merge_probe)
                     out = render_full(scene, camera, samples, workers=spec.workers)
                 ms = 0.0 if spec.deterministic else (time.perf_counter() - t0) * 1e3
                 rows.append(MetricRow(

@@ -2,7 +2,8 @@
 
 Subcommands: render, bench, train-proposal, compare-samplers, info.
 Global flags: --config, --seed, --workers, --out-dir, --deterministic.
-Exit codes: 0 success, 2 config error, 3 missing checkpoint, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 missing or malformed checkpoint,
+4 I/O error.
 VOLSAMPLER_THREADS overrides --workers when set.
 """
 from __future__ import annotations
@@ -117,9 +118,10 @@ def cmd_render(args) -> int:
                 workers=workers)
             spp_note = f"mean {spp_map.mean():.1f}"
         else:
-            samples = method_samples(args.method, prop, args.spp, args.seed,
-                                     cfg.get_float("sampler.tau"),
-                                     camera.height, camera.width)
+            samples = method_samples(
+                args.method, prop, args.spp, args.seed, cfg.get_float("sampler.tau"),
+                camera.height, camera.width,
+                merge_probe=cfg.get_bool("sampler.merge_probe_samples"))
             result = render_full(scene, camera, samples, workers=workers)
             spp_note = f"{args.spp}"
 
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except MissingCheckpointError as e:
-        print(f"missing checkpoint: {e}", file=sys.stderr)
+        print(f"checkpoint error: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

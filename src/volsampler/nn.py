@@ -50,7 +50,8 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, shape, k: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto the padded image."""
+    """Adjoint of _im2col without the final crop: scatter-add the patches of
+    a (B, C, H, W) grid onto that grid grown by k // 2 on every side."""
     b, c, h, w = shape
     pad = k // 2
     xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
@@ -58,7 +59,7 @@ def _col2im(cols: np.ndarray, shape, k: int) -> np.ndarray:
     for ky in range(k):
         for kx in range(k):
             xp[:, :, ky:ky + h, kx:kx + w] += cols[:, :, ky * k + kx, :].reshape(b, c, h, w)
-    return xp[:, :, pad:pad + h, pad:pad + w]
+    return xp
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
@@ -75,15 +76,33 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
 
 
 def conv2d_backward(dy: np.ndarray, weight: np.ndarray, cache):
+    """Gradients (dx, dw, db) of conv2d_forward. Only the bounding box of the
+    nonzero entries of dy is visited, so a gradient confined to a patch costs
+    the patch, not the whole grid."""
     cols, x_shape, w_shape = cache
     b, c_out, h, w = dy.shape
     k = w_shape[-1]
-    dy_mat = np.ascontiguousarray(dy.reshape(b, c_out, h * w))
-    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    pad = k // 2
+    dx = np.zeros(x_shape, dtype=np.result_type(weight, dy))
+    rows = np.flatnonzero(dy.any(axis=(0, 1, 3)))
+    cs = np.flatnonzero(dy.any(axis=(0, 1, 2)))
+    if rows.size == 0:
+        dt = np.result_type(dy, cols)
+        return dx, np.zeros(w_shape, dtype=dt), np.zeros(c_out, dtype=dt)
+    r0, r1, c0, c1 = rows[0], rows[-1] + 1, cs[0], cs[-1] + 1
+    hb, wb = r1 - r0, c1 - c0
+    dy_mat = np.ascontiguousarray(dy[:, :, r0:r1, c0:c1]).reshape(b, c_out, hb * wb)
+    box_cols = cols.reshape(b, -1, h, w)[:, :, r0:r1, c0:c1].reshape(b, -1, hb * wb)
+    dw = np.matmul(dy_mat, box_cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
     db = dy_mat.sum(axis=(0, 2))
-    w2d = weight.reshape(c_out, -1)
-    dcols = np.matmul(w2d.T[None], dy_mat)
-    dx = _col2im(dcols, x_shape, k)
+    dcols = np.matmul(weight.reshape(c_out, -1).T[None], dy_mat)
+    # the box's patches reach pad beyond it; what lands on the zero padding
+    # of the grid is dropped
+    grown = _col2im(dcols, (b, x_shape[1], hb, wb), k)
+    y0, y1 = max(r0 - pad, 0), min(r1 + pad, h)
+    x0, x1 = max(c0 - pad, 0), min(c1 + pad, w)
+    dx[:, :, y0:y1, x0:x1] = grown[:, :, y0 - r0 + pad:y1 - r0 + pad,
+                                   x0 - c0 + pad:x1 - c0 + pad]
     return dx, dw, db
 
 

@@ -24,6 +24,12 @@ from .render import ProbeOutput, render_probe
 from .scenes import SceneOracle
 
 UPSCALE = 4  # two 2x bilinear stages
+# Receptive field of the net, in probe pixels around an output pixel's parent
+# P. Walking back from P's children 4P..4P+3: conv6, conv5 and conv4 widen
+# them by 3 to 4P-3..4P+6; the second 2x stage reads 2P-2..2P+3, which conv3
+# widens to 2P-3..2P+4; the first 2x stage reads P-2..P+2, and conv2 and
+# conv1 widen that to P-4..P+4. The skip's 4x upsample reaches less far.
+HALO = 4
 CHECKPOINT_MAGIC = b"VSMP"
 CHECKPOINT_VERSION = 1
 
@@ -251,6 +257,56 @@ def render_gt_patch(scene: SceneOracle, camera_full: Camera, row: int, col: int,
     return out["weights"].reshape(patch, patch, z_bins).transpose(2, 0, 1)
 
 
+def _runs(start: int, length: int, size: int):
+    """(image start, patch offset, length) of the runs that do not wrap in
+    the wrapped index range start .. start + length - 1 (mod size)."""
+    first = min(length, size - start)
+    runs = [(start, 0, first)]
+    if first < length:
+        runs.append((0, first, length - first))
+    return runs
+
+
+def _window(start: int, stop: int, size: int):
+    """Probe-pixel window [lo, hi) of full-resolution pixels [start, stop):
+    their parent probe pixels plus HALO, clamped to the probe image."""
+    return (max(start // UPSCALE - HALO, 0),
+            min((stop - 1) // UPSCALE + 1 + HALO, size))
+
+
+def forward_patch(net: ProposalNet, inputs, row: int, col: int, patch: int):
+    """Logits (1, Z, patch, patch) of the wrapped patch at full-resolution
+    origin (row, col), from probe windows only (see train_step), and the
+    windows' caches for backward_patch. inputs is probe_inputs(probe)."""
+    ph, pw = inputs[0].shape[-2:]
+    logits = np.empty((1, net.z_bins, patch, patch), dtype=net.dtype)
+    windows = []
+    for r0, pr, nr in _runs(row, patch, ph * UPSCALE):
+        wr0, wr1 = _window(r0, r0 + nr, ph)
+        for c0, pc, nc in _runs(col, patch, pw * UPSCALE):
+            wc0, wc1 = _window(c0, c0 + nc, pw)
+            out = net.forward(*(a[:, :, wr0:wr1, wc0:wc1] for a in inputs),
+                              keep_cache=True)
+            r, c = r0 - UPSCALE * wr0, c0 - UPSCALE * wc0
+            src = (slice(None), slice(None), slice(r, r + nr), slice(c, c + nc))
+            dst = (slice(None), slice(None), slice(pr, pr + nr), slice(pc, pc + nc))
+            logits[dst] = out[src]
+            # the net keeps one forward's cache; hold each window's until the
+            # loss over the whole patch gives its head gradient
+            windows.append((net._cache, out.shape, src, dst))
+    return logits, windows
+
+
+def backward_patch(net: ProposalNet, windows, d_patch: np.ndarray) -> None:
+    """Accumulate parameter gradients from the patch's head gradient, one
+    window at a time; the head gradient is zero outside the patch."""
+    for cache, shape, src, dst in windows:
+        d_logits = np.zeros(shape, dtype=net.dtype)
+        d_logits[src] = d_patch[dst]
+        net._cache = cache
+        net.backward(d_logits)
+
+
 def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
                camera_full: Camera, rng: np.random.Generator,
                cfg: TrainConfig, probe: ProbeOutput | None = None,
@@ -259,6 +315,17 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
 
     The probe can be passed in when the scene and camera are fixed across
     steps (it is deterministic in midpoint mode).
+
+    Only the patch carries loss, so the net runs on probe windows, not on the
+    whole probe: each window is the patch's parent probe pixels plus a HALO
+    of probe pixels on every side, clamped to the probe image, so the image
+    border keeps its zero padding and edge-clamped upsampling. HALO covers
+    the receptive field, so the window's logits on the patch are the full
+    image's. A patch that wraps around the image edge is split into up to
+    four rectangles that do not wrap, each with its own window; the loss
+    runs once over the reassembled patch and every window is backpropagated
+    into the same gradients. A patch with no valid pixel carries no
+    gradient: the net is not run, and Adam steps on its momentum alone.
     """
     if camera_full.height % UPSCALE or camera_full.width % UPSCALE:
         raise ValueError("full resolution must be a multiple of the upscale factor")
@@ -281,17 +348,14 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
                          workers=workers)
     target = build_target(gt, cfg.blur_sigma, cfg.suppress_eps, cfg.blur_radius)
 
-    logits = net.forward(*probe_inputs(probe, net.dtype), keep_cache=True)
-    # loss and gradient live only on the supervised patch; elsewhere the head
-    # gradient is identically zero
-    r, c = patch_pixels(row, col, cfg.patch, h, w)
-    sel = (slice(None), slice(None), r[:, None], c[None, :])
-    loss, _, d_patch = softmax_ce(logits[sel].astype(np.float64),
-                                  target.probs[None], target.valid[None])
-    d_logits = np.zeros(logits.shape, dtype=logits.dtype)
-    d_logits[sel] = d_patch
     net.zero_grads()
-    net.backward(d_logits)
+    loss = 0.0
+    if target.valid.any():
+        logits, windows = forward_patch(net, probe_inputs(probe, net.dtype),
+                                        row, col, cfg.patch)
+        loss, _, d_patch = softmax_ce(logits.astype(np.float64),
+                                      target.probs[None], target.valid[None])
+        backward_patch(net, windows, d_patch)
     adam_step(net.params, opt)
     return loss
 
@@ -346,26 +410,39 @@ def save_checkpoint(net: ProposalNet, path) -> None:
             f.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is not a well-formed proposal checkpoint for
+    the net it is loaded into."""
+
+
+def _read(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def load_checkpoint(net: ProposalNet, path) -> None:
-    """Load parameters into a net of matching architecture; rejects bad magic,
-    version mismatches, and shape mismatches."""
+    """Load parameters into a net of matching architecture. Every malformed
+    file (short read, bad magic, version, tensor count or shape, trailing
+    bytes) raises CheckpointError."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = _read(f, 4)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a proposal checkpoint (magic {magic!r})")
-        version, count = struct.unpack("<II", f.read(8))
+            raise CheckpointError(f"not a proposal checkpoint (magic {magic!r})")
+        version, count = struct.unpack("<II", _read(f, 8))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         if count != len(net.params):
-            raise ValueError(f"checkpoint has {count} tensors, net has {len(net.params)}")
+            raise CheckpointError(f"checkpoint has {count} tensors, net has {len(net.params)}")
         for p in net.params:
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (ndim,) = struct.unpack("<I", _read(f, 4))
+            shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim))
             if shape != p.value.shape:
-                raise ValueError(f"shape mismatch for {p.name}: "
-                                 f"checkpoint {shape}, net {p.value.shape}")
+                raise CheckpointError(f"shape mismatch for {p.name}: "
+                                      f"checkpoint {shape}, net {p.value.shape}")
             n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(_read(f, 4 * n), dtype="<f4").reshape(shape)
             p.value = data.astype(net.dtype)
         if f.read(1):
-            raise ValueError("trailing bytes in checkpoint")
+            raise CheckpointError("trailing bytes in checkpoint")

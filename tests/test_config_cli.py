@@ -6,6 +6,7 @@ import pytest
 
 from volsampler.cli import main
 from volsampler.config import Config, ConfigError, parse_config_text
+from volsampler.proposal import ProposalNet, save_checkpoint
 
 
 class TestParser:
@@ -115,6 +116,21 @@ class TestCliExitCodes:
         assert self.run_cli("bench", "--config", str(cfg), "--out-dir",
                             str(tmp_path / "out")) == 3
 
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-magic"])
+    def test_malformed_checkpoint_exits_3(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "net.vsmp"
+        save_checkpoint(ProposalNet(z_bins=48, hidden=4), ckpt)
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:len(raw) // 2] if damage == "truncated"
+                         else b"XXXX" + raw[4:])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY + "proposal.source = checkpoint\n"
+                       "proposal.hidden_channels = 4\n"
+                       f"proposal.checkpoint = {ckpt}\n")
+        assert self.run_cli("render", "--config", str(cfg), "--out-dir",
+                            str(tmp_path / "out")) == 3
+        assert ("truncated" if damage == "truncated" else "magic") in capsys.readouterr().err
+
     def test_unwritable_out_dir_exits_4(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -180,6 +196,22 @@ train.patch = 8
         assert (out / "bench.csv").exists()
         body = (out / "bench.csv").read_text()
         assert "robust" in body and "unstratified" in body
+
+    def test_bench_reads_probe_keys(self, tmp_path):
+        base = ("camera.height = 32\ncamera.width = 32\nrender.z_bins = 48\n"
+                "bench.methods = robust\nbench.spp = 4\n")
+        csv = {}
+        for name, extra in [("default", ""),
+                            ("no-merge", "sampler.merge_probe_samples = false\n"),
+                            ("stratified-probe", "render.probe_mode = stratified\n")]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(base + extra)
+            out = tmp_path / name
+            assert main(["bench", "--deterministic", "--seed", "3", "--config",
+                         str(cfg), "--out-dir", str(out)]) == 0
+            csv[name] = (out / "bench.csv").read_text()
+        assert csv["no-merge"] != csv["default"]
+        assert csv["stratified-probe"] != csv["default"]
 
     def test_bad_fallback_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"

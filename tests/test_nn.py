@@ -54,6 +54,36 @@ class TestConv:
         assert rel_err(dw, finite_diff(loss, w)) < 1e-6
         assert rel_err(db, finite_diff(loss, b)) < 1e-6
 
+    @pytest.mark.parametrize("box", [(1, 4, 2, 5), (0, 1, 5, 6), (3, 6, 0, 6)])
+    def test_gradients_of_confined_upstream(self, rng, box):
+        # backward visits only the bounding box of the nonzero upstream
+        # entries: inside the grid, in a corner, and across its whole width
+        x = rng.standard_normal((2, 3, 6, 6))
+        w = rng.standard_normal((4, 3, 3, 3)) * 0.4
+        b = rng.standard_normal(4) * 0.1
+        r0, r1, c0, c1 = box
+        proj = np.zeros((2, 4, 6, 6))
+        proj[:, :, r0:r1, c0:c1] = rng.standard_normal((2, 4, r1 - r0, c1 - c0))
+
+        def loss():
+            y, _ = nn.conv2d_forward(x, w, b)
+            return float(np.sum(y * proj))
+
+        _, cache = nn.conv2d_forward(x, w, b)
+        dx, dw, db = nn.conv2d_backward(proj, w, cache)
+        assert rel_err(dx, finite_diff(loss, x)) < 1e-6
+        assert rel_err(dw, finite_diff(loss, w)) < 1e-6
+        assert rel_err(db, finite_diff(loss, b)) < 1e-6
+
+    def test_zero_upstream_gives_exact_zeros(self, rng):
+        x = rng.standard_normal((1, 3, 4, 5)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        _, cache = nn.conv2d_forward(x, w, np.zeros(2, np.float32))
+        dx, dw, db = nn.conv2d_backward(np.zeros((1, 2, 4, 5), np.float32), w, cache)
+        for got, like in ((dx, x), (dw, w), (db, np.zeros(2, np.float32))):
+            assert got.shape == like.shape and got.dtype == like.dtype
+            assert np.all(got == 0.0)
+
 
 class TestReluAndUpsample:
     def test_relu(self, rng):

@@ -1,14 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import small_camera
 from volsampler import proposal
 from volsampler.geometry import Camera
-from volsampler.nn import AdamState, softmax_channels
-from volsampler.proposal import (ProposalNet, SupervisionTarget, TrainConfig,
-                                 build_target, gaussian_kernel, load_checkpoint,
-                                 patch_pixels, render_gt_patch, sampler_loss,
-                                 save_checkpoint, train, train_step)
+from volsampler.nn import (AdamState, adam_step, he_init, softmax_ce,
+                          softmax_channels)
+from volsampler.proposal import (HALO, CheckpointError, ProposalNet,
+                                 SupervisionTarget, TrainConfig, build_target,
+                                 forward_patch, gaussian_kernel, load_checkpoint,
+                                 patch_pixels, probe_inputs, render_gt_patch,
+                                 sampler_loss, save_checkpoint, train, train_step)
 from volsampler.render import camera_geometry, render_probe
 from volsampler.scenes import make_scene
 
@@ -295,6 +299,119 @@ class TestTrainStep:
         assert count.min() == count.max()
 
 
+class FixedOrigin:
+    """Stands in for the generator: returns the queued patch origin."""
+
+    def __init__(self, row, col):
+        self.values = [row, col]
+
+    def integers(self, high):
+        return self.values.pop(0)
+
+
+class TestPatchWindows:
+    """train_step runs the net on probe windows around the patch only."""
+
+    RES = 64    # probe 16x16, so windows are real crops of it
+    PATCH = 12
+    # interior, top edge, bottom-right corner, wrapping rows, wrapping corner
+    ORIGINS = [(26, 30), (0, 30), (52, 52), (58, 30), (58, 60)]
+
+    def make_net(self):
+        scene = make_scene("wall", beta=5e-3)
+        net = ProposalNet(z_bins=16, hidden=6, seed=3)
+        # a live head, so every layer reaches the logits
+        net.params[-2].value = he_init(np.random.default_rng(7), 16, 6, 3, np.float32)
+        probe = render_probe(scene, small_camera(self.RES // 4), z_bins=16)
+        return scene, net, probe
+
+    def patch_slice(self, logits, row, col):
+        r, c = patch_pixels(row, col, self.PATCH, self.RES, self.RES)
+        return logits[:, :, r[:, None], c[None, :]]
+
+    def test_window_logits_match_full_forward(self):
+        _, net, probe = self.make_net()
+        inputs = probe_inputs(probe)
+        full = net.forward(*inputs)
+        for (row, col), n_rect in zip(self.ORIGINS, (1, 1, 1, 2, 4)):
+            logits, windows = forward_patch(net, inputs, row, col, self.PATCH)
+            assert len(windows) == n_rect
+            np.testing.assert_allclose(logits, self.patch_slice(full, row, col),
+                                       rtol=1e-5, atol=1e-6)
+        # the interior patch's window is a crop, not the whole probe
+        _, windows = forward_patch(net, inputs, 26, 30, self.PATCH)
+        assert windows[0][1][-2:] == (4 * (2 * HALO + 4), 4 * (2 * HALO + 4))
+
+    def test_halo_covers_receptive_field(self):
+        # the patch rows 26..37 have parent probe rows 6..9 (cols 7..10);
+        # a probe pixel one beyond the halo cannot reach the patch logits,
+        # one on the halo's edge does
+        _, net, probe = self.make_net()
+        inputs = probe_inputs(probe)
+        row, col = 26, 30
+        base = self.patch_slice(net.forward(*inputs), row, col)
+        for (pr, pc), reaches in [((6 - HALO - 1, 8), False), ((9 + HALO + 1, 8), False),
+                                  ((8, 7 - HALO - 1), False), ((8, 10 + HALO + 1), False),
+                                  ((6 - HALO, 8), True), ((8, 10 + HALO), True)]:
+            moved = [a.copy() for a in inputs]
+            for a in moved:
+                a[:, :, pr, pc] += 1.0
+            out = self.patch_slice(net.forward(*moved), row, col)
+            assert np.array_equal(out, base) != reaches, (pr, pc)
+
+    def test_step_gradients_match_full_image(self):
+        scene, net, probe = self.make_net()
+        cam = small_camera(self.RES)
+        cfg = TrainConfig(patch=self.PATCH, z_bins=16)
+        for row, col in self.ORIGINS:
+            train_step(net, AdamState(lr=0.0), scene, cam, FixedOrigin(row, col),
+                       cfg, probe=probe)
+            got = [prm.grad.copy() for prm in net.params]
+
+            # reference: full-image forward, loss on the patch slice, zero
+            # head gradient elsewhere, full-image backward
+            gt = render_gt_patch(scene, cam, row, col, self.PATCH, 16)
+            target = build_target(gt)
+            logits = net.forward(*probe_inputs(probe), keep_cache=True)
+            r, c = patch_pixels(row, col, self.PATCH, self.RES, self.RES)
+            sel = (slice(None), slice(None), r[:, None], c[None, :])
+            _, _, d_patch = softmax_ce(logits[sel].astype(np.float64),
+                                       target.probs[None], target.valid[None])
+            d_logits = np.zeros_like(logits)
+            d_logits[sel] = d_patch
+            net.zero_grads()
+            net.backward(d_logits)
+            for prm, g in zip(net.params, got):
+                scale = np.abs(prm.grad).max()
+                assert scale > 0.0, prm.name
+                np.testing.assert_allclose(g, prm.grad, rtol=1e-4, atol=1e-5 * scale,
+                                           err_msg=prm.name)
+
+    def test_empty_patch_skips_net_and_steps_on_momentum(self, monkeypatch):
+        scene, net, probe = self.make_net()
+        cam = small_camera(self.RES)
+        cfg = TrainConfig(patch=self.PATCH, z_bins=16)
+        opt = AdamState(lr=1e-3)
+        train_step(net, opt, scene, cam, FixedOrigin(26, 30), cfg, probe=probe)
+        ref_net, ref_opt = copy.deepcopy(net), copy.deepcopy(opt)
+
+        calls = []
+        forward = ProposalNet.forward
+
+        def counting_forward(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProposalNet, "forward", counting_forward)
+        behind = make_scene("wall", beta=5e-3, wall_z=-1.5)  # behind the scene box
+        loss = train_step(net, opt, behind, cam, FixedOrigin(26, 30), cfg)
+        assert loss == 0.0 and not calls
+        ref_net.zero_grads()
+        adam_step(ref_net.params, ref_opt)
+        for a, b in zip(net.params, ref_net.params):
+            assert np.array_equal(a.value, b.value), a.name
+
+
 @pytest.mark.slow
 class TestWallTraining:
     def test_trained_argmax_matches_analytic_wall_bin(self):
@@ -349,6 +466,17 @@ class TestCheckpoint:
         other = ProposalNet(z_bins=8, hidden=4)
         with pytest.raises(ValueError):
             load_checkpoint(other, path)
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        net = ProposalNet(z_bins=8, hidden=6)
+        path = tmp_path / "net.vsmp"
+        save_checkpoint(net, path)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.vsmp"
+        for cut in list(range(64)) + list(range(64, len(raw), 7)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(net, bad)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         net = ProposalNet(z_bins=8, hidden=6)
