@@ -1,76 +1,67 @@
 #!/usr/bin/env python3
-"""Train the proposal upsampler on a procedural scene, then render the scene
-three ways for a side-by-side: adaptive robust pipeline, matched-budget
-uniform, and the dense reference.
+"""Train the proposal upsampler on the configured scene, then render it three
+ways for a side-by-side in foreground PSNR: the adaptive pipeline with the
+trained net, uniform sampling at the pipeline's mean budget, and the dense
+reference. Every setting comes from the config (`volsampler info` lists them).
 
 Example:
-    python scripts/train_sampler.py --scene two-spheres --beta 0.003 \
-        --steps 500 --out-dir out/ts
+    python scripts/train_sampler.py --config scene.cfg --out-dir out/ts
 """
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from volsampler.bench import adaptive_pipeline_render, prepare_proposals
-from volsampler.geometry import default_camera
+from volsampler.bench import Pipeline, adaptive_pipeline_render, prepare_proposals
+from volsampler.config import Config
 from volsampler.imageio import write_pfm, write_ppm
 from volsampler.metrics import foreground_psnr
-from volsampler.proposal import ProposalNet, TrainConfig, save_checkpoint, train
+from volsampler.proposal import ProposalNet, save_checkpoint, train
 from volsampler.render import render_reference, render_uniform
-from volsampler.sampling import SampleBudget, derive_seed
-from volsampler.scenes import make_scene
+from volsampler.sampling import derive_seed
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--scene", default="two-spheres")
-    ap.add_argument("--beta", type=float, default=0.003)
-    ap.add_argument("--resolution", type=int, default=128)
-    ap.add_argument("--steps", type=int, default=500)
-    ap.add_argument("--lr", type=float, default=2e-3)
-    ap.add_argument("--patch", type=int, default=16)
-    ap.add_argument("--hidden", type=int, default=64)
+    ap.add_argument("--config", default=None, help="config file path")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", default="out/train")
     args = ap.parse_args()
 
+    pipe = Pipeline.from_config(Config.load(args.config), seed=args.seed,
+                                workers=args.workers)
+    pipe = replace(pipe, proposal_source="checkpoint")
+    scene, camera = pipe.scene, pipe.camera
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scene = make_scene(args.scene, beta=args.beta)
-    camera = default_camera(args.resolution, args.resolution)
 
-    net = ProposalNet(z_bins=192, hidden=args.hidden, seed=args.seed)
-    cfg = TrainConfig(steps=args.steps, lr=args.lr, patch=args.patch)
+    net = ProposalNet(z_bins=pipe.z_bins, hidden=pipe.hidden_channels, seed=args.seed)
+    steps = pipe.training.steps
     t0 = time.perf_counter()
-    losses = train(net, scene, camera, cfg, seed=args.seed,
-                   workers=args.workers, log_every=max(1, args.steps // 10))
-    print(f"trained {args.steps} steps in {time.perf_counter() - t0:.0f}s; "
-          f"loss window {np.mean(losses[:50]):.3f} -> {np.mean(losses[-50:]):.3f}")
+    losses = train(net, scene, camera, pipe.training, seed=args.seed,
+                   workers=pipe.workers, log_every=max(1, steps // 10))
+    window = max(1, steps // 10)
+    print(f"trained {steps} steps in {time.perf_counter() - t0:.0f}s; loss window "
+          f"{np.mean(losses[:window]):.3f} -> {np.mean(losses[-window:]):.3f}")
     save_checkpoint(net, out / "proposal.vsmp")
-    with open(out / "train_loss.csv", "w", encoding="ascii") as f:
-        f.write("step,loss\n")
-        f.writelines(f"{i},{v:.6f}\n" for i, v in enumerate(losses))
 
-    reference = render_reference(scene, camera, 384, seed=derive_seed(0, 999),
-                                 workers=args.workers)
+    reference = render_reference(scene, camera, pipe.reference_spp,
+                                 seed=derive_seed(pipe.seed, 999), workers=pipe.workers)
     fg = reference.accumulated_opacity > 0.5
-    proposals = prepare_proposals(scene, camera, 192, 4, "checkpoint", net=net,
-                                  workers=args.workers)
-    pipeline, spp_map = adaptive_pipeline_render(
-        scene, camera, proposals, SampleBudget(), seed=7, workers=args.workers)
+    adaptive, spp_map = adaptive_pipeline_render(pipe, prepare_proposals(pipe, net=net))
     matched = render_uniform(scene, camera, int(round(spp_map.mean())),
-                             seed=8, workers=args.workers)
-    print(f"fg-PSNR: pipeline {foreground_psnr(pipeline.radiance, reference.radiance, fg):.2f} dB"
+                             seed=pipe.seed, workers=pipe.workers)
+    print(f"fg-PSNR: pipeline {foreground_psnr(adaptive.radiance, reference.radiance, fg):.2f} dB"
           f" (mean spp {spp_map.mean():.1f}) vs uniform "
           f"{foreground_psnr(matched.radiance, reference.radiance, fg):.2f} dB")
 
-    for name, img in (("pipeline", pipeline.radiance),
+    for name, img in (("pipeline", adaptive.radiance),
                       ("uniform", matched.radiance),
                       ("reference", reference.radiance)):
         write_pfm(out / f"{name}.pfm", img)

@@ -15,8 +15,8 @@ from .render import (PixelSamples, ProbeOutput, RenderOutput, integrate_ray,
 from .sampling import (RobustPdf, SampleBudget, adaptive_score, allocate_budgets,
                        inverse_cdf_sample, nucleus_filter, stratified_budget_sample,
                        stratified_variates)
-from .scenes import (SCENE_NAMES, SceneOracle, SceneSample, beta_activation,
-                     laplace_density, make_scene)
+from .scenes import (SCENE_NAMES, SceneOracle, beta_activation, laplace_density,
+                     make_scene)
 
 __all__ = [
     "BOX_MAX", "BOX_MIN", "Camera", "Ray", "RayBins", "default_camera",
@@ -27,7 +27,7 @@ __all__ = [
     "RobustPdf", "SampleBudget", "adaptive_score", "allocate_budgets",
     "inverse_cdf_sample", "nucleus_filter", "stratified_budget_sample",
     "stratified_variates",
-    "SCENE_NAMES", "SceneOracle", "SceneSample", "beta_activation",
+    "SCENE_NAMES", "SceneOracle", "beta_activation",
     "laplace_density", "make_scene",
     "__version__",
 ]

@@ -1,6 +1,6 @@
-"""Benchmark orchestration: sampling-method comparisons scored against the
-384-sample reference, CSV output, and the adaptive proposal-guided render
-pipeline.
+"""Benchmark orchestration: the configured Pipeline every entry point builds
+from the config, sampling-method comparisons scored against the 384-sample
+reference, CSV output, and the adaptive proposal-guided render pipeline.
 
 Methods:
     uniform-dense  stratified-uniform positions, no proposal
@@ -16,6 +16,7 @@ sampler-free studies).
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -24,7 +25,8 @@ import numpy as np
 from .config import Config, ConfigError
 from .geometry import Camera
 from .metrics import psnr, worst_percentile_psnr
-from .proposal import CheckpointError, ProposalNet, blur_bins, load_checkpoint
+from .proposal import (UPSCALE, CheckpointError, ProposalNet, TrainConfig,
+                       blur_bins, load_checkpoint, probe_camera)
 from .render import (PixelSamples, ProbeOutput, RenderOutput, camera_geometry,
                      render_full, render_probe, render_reference,
                      render_uniform)
@@ -33,7 +35,7 @@ from .sampling import (SampleBudget, adaptive_score_grid, allocate_budgets,
                        inverse_cdf_sample_grid, normalize_pdf,
                        nucleus_support_grid, stratified_u_block,
                        upsample_nearest)
-from .scenes import SceneOracle, make_scene
+from .scenes import BETA_MAX, BETA_MIN, SceneOracle, make_scene
 
 METHODS = ("uniform-dense", "unstratified", "stratified", "robust")
 _METHOD_IDS = {m: i for i, m in enumerate(METHODS)}
@@ -48,89 +50,151 @@ class MissingCheckpointError(RuntimeError):
 
 @dataclass
 class ProposalField:
-    """Per-pixel proposal PDFs at full resolution plus the probe they came from."""
+    """Per-pixel proposal PDFs at full resolution plus the probe they came
+    from, which renders at 1/UPSCALE of the full resolution per side."""
 
     pdf: np.ndarray        # (N, Z) rows normalized; all-zero rows = background
     probe: ProbeOutput
-    factor: int
     t_near: np.ndarray     # (N,) full-res ray intervals
     t_far: np.ndarray
     z: int
 
     def parent_rows(self, height: int, width: int) -> np.ndarray:
         """Full-res pixel -> flattened probe pixel index (nearest neighbor)."""
-        rows = (np.arange(height) // self.factor)[:, None] * (width // self.factor)
-        cols = (np.arange(width) // self.factor)[None, :]
+        rows = (np.arange(height) // UPSCALE)[:, None] * (width // UPSCALE)
+        cols = (np.arange(width) // UPSCALE)[None, :]
         return (rows + cols).ravel()
 
 
-def scene_from_config(cfg: Config) -> SceneOracle:
-    return make_scene(cfg.get("scene.name"),
-                      beta=cfg.get_opt_float("scene.beta"),
-                      beta_band=cfg.get_opt_float("scene.beta_band"),
-                      radius=cfg.get_opt_float("scene.radius"),
-                      wall_z=cfg.get_opt_float("scene.wall_z"))
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
-def camera_from_config(cfg: Config) -> Camera:
-    return Camera(position=cfg.get_vec3("camera.position"),
-                  look_at=cfg.get_vec3("camera.look_at"),
-                  up=cfg.get_vec3("camera.up"),
-                  fov_y=cfg.get_float("camera.fov"),
-                  height=cfg.get_int("camera.height"),
-                  width=cfg.get_int("camera.width"))
+def _build(what: str, make, **kwargs):
+    """make(**kwargs), its ValueError reported as a ConfigError."""
+    try:
+        return make(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
-@dataclass
-class BenchSpec:
+@dataclass(frozen=True)
+class Pipeline:
+    """The configured pipeline: scene, target camera (the probe renders at
+    1/UPSCALE of it), proposal source, sampler and adaptive budget, the
+    benchmark matrix and the proposal net's training configuration.
+
+    Build it with from_config, which reads every config key once and checks
+    every range; the functions of this module take it whole.
+    """
+
     scene: SceneOracle
     camera: Camera
-    methods: tuple = ("unstratified", "stratified", "robust")
-    spp_list: tuple = (2, 4, 8, 16, 32, 64)
-    trials: int = 1
+    z_bins: int
+    probe_mode: str
+    reference_spp: int
+    tau: float
+    score_bins: int
+    budget: SampleBudget
+    merge_probe: bool
+    proposal_source: str
+    checkpoint: str
+    hidden_channels: int
+    lift_blur_sigma: float
+    training: TrainConfig
+    methods: tuple
+    spp_list: tuple
+    trials: int
     seed: int = 0
-    z_bins: int = 192
-    probe_factor: int = 4
-    probe_mode: str = "midpoint"
-    reference_spp: int = 384
-    tau: float = 0.98
-    merge_probe: bool = True
-    proposal_source: str = "probe-lift"
-    checkpoint: str = ""
-    hidden_channels: int = 64
-    lift_blur_sigma: float = 1.0
-    deterministic: bool = False
     workers: int = 1
-
-    def __post_init__(self):
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown sampling method {m!r}; have {METHODS}")
-        if any(s < 1 for s in self.spp_list):
-            raise ConfigError("spp values must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+    deterministic: bool = False  # zero the ms column of bench.csv
 
     @classmethod
     def from_config(cls, cfg: Config, seed: int = 0, workers: int = 1,
-                    deterministic: bool = False) -> "BenchSpec":
-        if cfg.get("sampler.fallback") != "uniform":
-            raise ConfigError("sampler.fallback supports only 'uniform'")
-        return cls(scene=scene_from_config(cfg), camera=camera_from_config(cfg),
-                   methods=tuple(cfg.get_list("bench.methods")),
-                   spp_list=tuple(cfg.get_int_list("bench.spp")),
-                   trials=cfg.get_int("bench.trials"), seed=seed,
-                   z_bins=cfg.get_int("render.z_bins"),
-                   probe_factor=cfg.get_int("render.probe_factor"),
-                   probe_mode=cfg.get("render.probe_mode"),
-                   reference_spp=cfg.get_int("render.reference_spp"),
-                   tau=cfg.get_float("sampler.tau"),
+                    deterministic: bool = False) -> "Pipeline":
+        """Every invalid value raises ConfigError."""
+        scene = _build("scene", make_scene, name=cfg.get("scene.name"),
+                       **{k: cfg.get_opt_float(f"scene.{k}")
+                          for k in ("beta", "beta_band", "radius", "wall_z")})
+        camera = _build("camera", Camera, position=cfg.get_vec3("camera.position"),
+                        look_at=cfg.get_vec3("camera.look_at"),
+                        up=cfg.get_vec3("camera.up"),
+                        fov_y=cfg.get_float("camera.fov"),
+                        height=cfg.get_int("camera.height"),
+                        width=cfg.get_int("camera.width"))
+        budget = _build("sampler budget", SampleBudget,
+                        base_spp=cfg.get_int("sampler.base_spp"),
+                        boosted_spp=cfg.get_int("sampler.boosted_spp"),
+                        boosted_fraction=cfg.get_float("sampler.boosted_fraction"))
+        sp = scene.params
+        _require(BETA_MIN <= sp["beta"] <= BETA_MAX,
+                 f"scene.beta must be in [{BETA_MIN}, {BETA_MAX}]")
+        _require(0.0 <= sp["beta_band"] <= BETA_MAX,
+                 f"scene.beta_band must be in [0, {BETA_MAX}]")
+        _require(0.0 < sp["radius"] < math.inf, "scene.radius must be positive")
+        _require(math.isfinite(sp["wall_z"]), "scene.wall_z must be finite")
+        _require(camera.height % UPSCALE == 0 and camera.width % UPSCALE == 0,
+                 f"camera.height and camera.width must be multiples of {UPSCALE}"
+                 f" (the probe renders at 1/{UPSCALE} of them)")
+
+        z_bins = cfg.get_int("render.z_bins")
+        _require(z_bins >= 2, "render.z_bins must be >= 2")
+        probe_mode = cfg.get("render.probe_mode")
+        _require(probe_mode in ("midpoint", "stratified"),
+                 "render.probe_mode must be midpoint or stratified")
+        reference_spp = cfg.get_int("render.reference_spp")
+        _require(reference_spp >= 2, "render.reference_spp must be >= 2")
+        tau = cfg.get_float("sampler.tau")
+        _require(0.0 < tau <= 1.0, "sampler.tau must be in (0, 1]")
+        score_bins = cfg.get_int("sampler.score_bins")
+        _require(score_bins >= 1, "sampler.score_bins must be >= 1")
+        source = cfg.get("proposal.source")
+        _require(source in ("probe-lift", "checkpoint", "oracle-full"),
+                 "proposal.source must be probe-lift, checkpoint or oracle-full")
+        hidden = cfg.get_int("proposal.hidden_channels")
+        _require(hidden >= 1, "proposal.hidden_channels must be >= 1")
+        lift_blur_sigma = cfg.get_float("proposal.lift_blur_sigma")
+        _require(0.0 <= lift_blur_sigma < math.inf,
+                 "proposal.lift_blur_sigma must be finite and >= 0")
+
+        training = TrainConfig(steps=cfg.get_int("train.steps"),
+                               lr=cfg.get_float("train.lr"),
+                               lr_end_factor=cfg.get_float("train.lr_end_factor"),
+                               adam_beta1=cfg.get_float("train.adam_beta1"),
+                               adam_beta2=cfg.get_float("train.adam_beta2"),
+                               patch=cfg.get_int("train.patch"),
+                               blur_sigma=cfg.get_float("train.blur_sigma"),
+                               blur_radius=cfg.get_int("train.blur_radius"),
+                               suppress_eps=cfg.get_float("train.suppress_eps"),
+                               z_bins=z_bins, probe_mode=probe_mode)
+        _require(training.steps >= 1, "train.steps must be >= 1")
+        _require(0.0 < training.lr < math.inf, "train.lr must be positive")
+        _require(0.0 <= training.lr_end_factor <= 1.0, "train.lr_end_factor must be in [0, 1]")
+        _require(0.0 <= training.adam_beta1 < 1.0 and 0.0 <= training.adam_beta2 < 1.0,
+                 "train.adam_beta1 and train.adam_beta2 must be in [0, 1)")
+        _require(training.patch >= 1, "train.patch must be >= 1")
+        _require(0.0 <= training.blur_sigma < math.inf, "train.blur_sigma must be finite and >= 0")
+        _require(training.blur_radius >= 0, "train.blur_radius must be >= 0")
+        _require(0.0 <= training.suppress_eps < math.inf,
+                 "train.suppress_eps must be finite and >= 0")
+
+        methods = tuple(cfg.get_list("bench.methods"))
+        for m in methods:
+            _require(m in METHODS, f"unknown sampling method {m!r}; have {METHODS}")
+        spp_list = tuple(cfg.get_int_list("bench.spp"))
+        _require(all(s >= 1 for s in spp_list), "bench.spp values must be >= 1")
+        trials = cfg.get_int("bench.trials")
+        _require(trials >= 1, "bench.trials must be >= 1")
+        return cls(scene=scene, camera=camera, z_bins=z_bins, probe_mode=probe_mode,
+                   reference_spp=reference_spp, tau=tau, score_bins=score_bins,
+                   budget=budget,
                    merge_probe=cfg.get_bool("sampler.merge_probe_samples"),
-                   proposal_source=cfg.get("proposal.source"),
-                   checkpoint=cfg.get("proposal.checkpoint"),
-                   hidden_channels=cfg.get_int("proposal.hidden_channels"),
-                   lift_blur_sigma=cfg.get_float("proposal.lift_blur_sigma"),
-                   deterministic=deterministic, workers=workers)
+                   proposal_source=source, checkpoint=cfg.get("proposal.checkpoint"),
+                   hidden_channels=hidden, lift_blur_sigma=lift_blur_sigma,
+                   training=training, methods=methods, spp_list=spp_list,
+                   trials=trials, seed=seed, workers=workers,
+                   deterministic=deterministic)
 
 
 @dataclass
@@ -170,61 +234,55 @@ def parse_csv(text: str) -> list[MetricRow]:
     return rows
 
 
-def prepare_proposals(scene: SceneOracle, camera: Camera, z_bins: int = 192,
-                      probe_factor: int = 4, source: str = "probe-lift",
-                      checkpoint: str = "", hidden_channels: int = 64,
-                      lift_blur_sigma: float = 1.0, probe_mode: str = "midpoint",
-                      seed: int = 0, workers: int = 1,
-                      net: ProposalNet | None = None) -> ProposalField:
-    """Build per-pixel proposal PDFs at the target resolution."""
-    h, w = camera.height, camera.width
-    if h % probe_factor or w % probe_factor:
-        raise ConfigError("camera resolution must be divisible by probe_factor")
-    probe_cam = Camera(camera.position, camera.look_at, camera.up, camera.fov_y,
-                       h // probe_factor, w // probe_factor)
-    probe = render_probe(scene, probe_cam, z_bins, mode=probe_mode,
-                         seed=seed, workers=workers)
-    _, _, t_near, t_far = camera_geometry(camera)
+_TRAIN_HINT = ("train one with `volsampler train-proposal`, or set "
+               "proposal.source=probe-lift for sampler-free benchmarking")
 
-    if source == "probe-lift":
+
+def _load_net(pipe: Pipeline) -> ProposalNet:
+    if not pipe.checkpoint:
+        raise MissingCheckpointError(
+            f"proposal.source=checkpoint needs proposal.checkpoint; {_TRAIN_HINT}")
+    net = ProposalNet(z_bins=pipe.z_bins, hidden=pipe.hidden_channels)
+    try:
+        load_checkpoint(net, pipe.checkpoint)
+    except FileNotFoundError:
+        raise MissingCheckpointError(
+            f"checkpoint {pipe.checkpoint!r} not found; {_TRAIN_HINT}") from None
+    except CheckpointError as e:
+        raise MissingCheckpointError(
+            f"checkpoint {pipe.checkpoint!r} is unusable: {e}") from None
+    return net
+
+
+def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> ProposalField:
+    """Build per-pixel proposal PDFs at the target resolution. With
+    proposal.source=checkpoint, `net` (when given) stands in for the
+    configured checkpoint file."""
+    z = pipe.z_bins
+    if pipe.proposal_source == "checkpoint" and net is None:
+        net = _load_net(pipe)
+    probe = render_probe(pipe.scene, probe_camera(pipe.camera), z,
+                         mode=pipe.probe_mode, seed=pipe.seed, workers=pipe.workers)
+    _, _, t_near, t_far = camera_geometry(pipe.camera)
+
+    if pipe.proposal_source == "probe-lift":
         # Sampler-free fallback: each child pixel inherits its parent probe
         # ray's distribution, blurred along bins to hedge the parallax between
         # parent and child rays. Imperfect at depth edges by construction; the
         # trained checkpoint source is the full-quality path.
-        lifted = upsample_nearest(probe.weights, probe_factor)
-        if lift_blur_sigma > 0.0:
-            lifted = blur_bins(lifted, lift_blur_sigma)
-        pdf = normalize_pdf(lifted.reshape(z_bins, -1).T)
-    elif source == "oracle-full":
-        dense = render_probe(scene, camera, z_bins, mode=probe_mode,
-                             seed=seed, workers=workers)
-        pdf = normalize_pdf(dense.weights.reshape(z_bins, -1).T)
-    elif source == "checkpoint":
-        if net is None:
-            if not checkpoint:
-                raise MissingCheckpointError(
-                    "proposal.source=checkpoint needs proposal.checkpoint; train one "
-                    "with `volsampler train-proposal`, or set proposal.source=probe-lift "
-                    "for sampler-free benchmarking")
-            net = ProposalNet(z_bins=z_bins, hidden=hidden_channels)
-            try:
-                load_checkpoint(net, checkpoint)
-            except FileNotFoundError:
-                raise MissingCheckpointError(
-                    f"checkpoint {checkpoint!r} not found; train one with "
-                    "`volsampler train-proposal`, or set proposal.source=probe-lift "
-                    "for sampler-free benchmarking") from None
-            except CheckpointError as e:
-                raise MissingCheckpointError(
-                    f"checkpoint {checkpoint!r} is unusable: {e}") from None
-        phat = net.predict(probe)
-        if phat.shape[-2:] != (h, w):
-            raise ConfigError("checkpoint resolution does not match the camera")
-        pdf = phat.reshape(z_bins, -1).T.copy()
+        lifted = upsample_nearest(probe.weights, UPSCALE)
+        if pipe.lift_blur_sigma > 0.0:
+            lifted = blur_bins(lifted, pipe.lift_blur_sigma)
+        pdf = normalize_pdf(lifted.reshape(z, -1).T)
+    elif pipe.proposal_source == "oracle-full":
+        dense = render_probe(pipe.scene, pipe.camera, z, mode=pipe.probe_mode,
+                             seed=pipe.seed, workers=pipe.workers)
+        pdf = normalize_pdf(dense.weights.reshape(z, -1).T)
+    elif pipe.proposal_source == "checkpoint":
+        pdf = net.predict(probe).reshape(z, -1).T.copy()
     else:
-        raise ConfigError(f"unknown proposal source {source!r}")
-    return ProposalField(pdf=pdf, probe=probe, factor=probe_factor,
-                         t_near=t_near, t_far=t_far, z=z_bins)
+        raise ConfigError(f"unknown proposal source {pipe.proposal_source!r}")
+    return ProposalField(pdf=pdf, probe=probe, t_near=t_near, t_far=t_far, z=z)
 
 
 def _fallback_rows(pdf: np.ndarray) -> np.ndarray:
@@ -402,27 +460,26 @@ def coverage_mask(prop: ProposalField, height: int, width: int,
     uncertain pixels that deserve the boost share a parent with real signal.
     """
     acc = prop.probe.weights.sum(axis=0)
-    lifted = upsample_nearest(acc[None], prop.factor)[0]
+    lifted = upsample_nearest(acc[None], UPSCALE)[0]
     return (lifted > threshold).reshape(height * width)
 
 
-def adaptive_pipeline_render(scene: SceneOracle, camera: Camera,
-                             prop: ProposalField, budget: SampleBudget,
-                             seed: int = 0, tau: float = 0.98,
-                             score_bins: int = 16, merge_probe: bool = True,
-                             workers: int = 1) -> tuple[RenderOutput, np.ndarray]:
+def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
+                             ) -> tuple[RenderOutput, np.ndarray]:
     """Full low-sample render: leftover-mass scores pick boosted pixels, robust
     stratified sampling draws each pixel's budget. Returns (render, spp map)."""
-    h, w = camera.height, camera.width
-    scores = adaptive_score_grid(prop.pdf, score_bins)
+    _require(pipe.score_bins < pipe.z_bins,
+             "sampler.score_bins must be below render.z_bins")
+    h, w = pipe.camera.height, pipe.camera.width
+    scores = adaptive_score_grid(prop.pdf, pipe.score_bins)
     scores = (scores * coverage_mask(prop, h, w)).reshape(h, w)
-    spp_map = allocate_budgets(scores, budget)
-    samples = robust_samples(prop, spp_map.ravel(), seed, tau, h, w,
-                             merge_probe=merge_probe)
-    return render_full(scene, camera, samples, workers=workers), spp_map
+    spp_map = allocate_budgets(scores, pipe.budget)
+    samples = robust_samples(prop, spp_map.ravel(), pipe.seed, pipe.tau, h, w,
+                             merge_probe=pipe.merge_probe)
+    return render_full(pipe.scene, pipe.camera, samples, workers=pipe.workers), spp_map
 
 
-def run_bench(spec: BenchSpec, out_dir=None, write_previews: bool = True
+def run_bench(pipe: Pipeline, out_dir=None, write_previews: bool = True
               ) -> tuple[list[MetricRow], str]:
     """Run the benchmark matrix and return (rows, csv_text).
 
@@ -432,37 +489,29 @@ def run_bench(spec: BenchSpec, out_dir=None, write_previews: bool = True
 
     from .imageio import write_pfm, write_ppm
 
-    scene, camera = spec.scene, spec.camera
-    reference = render_reference(scene, camera, spec.reference_spp,
-                                 seed=derive_seed(spec.seed, 999),
-                                 workers=spec.workers)
-    needs_proposal = any(m != "uniform-dense" for m in spec.methods)
-    prop = None
-    if needs_proposal:
-        prop = prepare_proposals(scene, camera, spec.z_bins, spec.probe_factor,
-                                 spec.proposal_source, spec.checkpoint,
-                                 spec.hidden_channels, spec.lift_blur_sigma,
-                                 probe_mode=spec.probe_mode, seed=spec.seed,
-                                 workers=spec.workers)
-    else:
-        _, _, t_near, t_far = camera_geometry(camera)
+    scene, camera = pipe.scene, pipe.camera
+    reference = render_reference(scene, camera, pipe.reference_spp,
+                                 seed=derive_seed(pipe.seed, 999),
+                                 workers=pipe.workers)
+    prop = (prepare_proposals(pipe)
+            if any(m != "uniform-dense" for m in pipe.methods) else None)
 
     rows: list[MetricRow] = []
     previews = {}
-    for method in spec.methods:
-        for spp in spec.spp_list:
-            for trial in range(spec.trials):
-                seed_t = derive_seed(spec.seed, _METHOD_IDS[method], spp, trial)
+    for method in pipe.methods:
+        for spp in pipe.spp_list:
+            for trial in range(pipe.trials):
+                seed_t = derive_seed(pipe.seed, _METHOD_IDS[method], spp, trial)
                 t0 = time.perf_counter()
                 if method == "uniform-dense":
                     out = render_uniform(scene, camera, spp, mode="stratified",
-                                         seed=seed_t, workers=spec.workers)
+                                         seed=seed_t, workers=pipe.workers)
                 else:
-                    samples = method_samples(method, prop, spp, seed_t, spec.tau,
+                    samples = method_samples(method, prop, spp, seed_t, pipe.tau,
                                              camera.height, camera.width,
-                                             merge_probe=spec.merge_probe)
-                    out = render_full(scene, camera, samples, workers=spec.workers)
-                ms = 0.0 if spec.deterministic else (time.perf_counter() - t0) * 1e3
+                                             merge_probe=pipe.merge_probe)
+                    out = render_full(scene, camera, samples, workers=pipe.workers)
+                ms = 0.0 if pipe.deterministic else (time.perf_counter() - t0) * 1e3
                 rows.append(MetricRow(
                     method=method, spp=spp, trial=trial,
                     psnr=psnr(out.radiance, reference.radiance),

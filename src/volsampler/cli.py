@@ -12,18 +12,18 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bench import (METHODS, BenchSpec, MissingCheckpointError,
-                    adaptive_pipeline_render, camera_from_config, method_samples,
-                    prepare_proposals, run_bench, scene_from_config)
+from .bench import (METHODS, MissingCheckpointError, Pipeline,
+                    adaptive_pipeline_render, method_samples, prepare_proposals,
+                    run_bench)
 from .config import Config, ConfigError
-from .proposal import ProposalNet, TrainConfig, save_checkpoint, train
+from .proposal import ProposalNet, save_checkpoint, train
 from .render import render_full, render_uniform
-from .sampling import SampleBudget
 from .scenes import SCENE_NAMES
 
 EXIT_OK = 0
@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1)
     common.add_argument("--out-dir", type=str, default="out")
     common.add_argument("--deterministic", action="store_true",
-                        help="zero timing fields and force fixed-order reductions")
+                        help="zero the ms column of bench.csv, so its bytes "
+                             "depend only on the config and seed")
 
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -85,44 +86,33 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _pipeline(args, overrides: dict[str, str] | None = None) -> Pipeline:
+    return Pipeline.from_config(Config.load(args.config, overrides),
+                                seed=args.seed, workers=_workers(args),
+                                deterministic=args.deterministic)
+
+
 def cmd_render(args) -> int:
     from .imageio import write_pfm, write_ppm
 
-    cfg = Config.load(args.config)
-    scene = scene_from_config(cfg)
-    camera = camera_from_config(cfg)
-    workers = _workers(args)
+    pipe = _pipeline(args)
+    scene, camera = pipe.scene, pipe.camera
     out = _out_dir(args)
 
     if args.method == "uniform-dense":
         result = render_uniform(scene, camera, args.spp, seed=args.seed,
-                                workers=workers)
+                                workers=pipe.workers)
         spp_note = f"{args.spp}"
     else:
-        prop = prepare_proposals(
-            scene, camera, cfg.get_int("render.z_bins"),
-            cfg.get_int("render.probe_factor"), cfg.get("proposal.source"),
-            cfg.get("proposal.checkpoint"), cfg.get_int("proposal.hidden_channels"),
-            cfg.get_float("proposal.lift_blur_sigma"),
-            probe_mode=cfg.get("render.probe_mode"), seed=args.seed,
-            workers=workers)
+        prop = prepare_proposals(pipe)
         if args.method == "adaptive":
-            budget = SampleBudget(cfg.get_int("sampler.base_spp"),
-                                  cfg.get_int("sampler.boosted_spp"),
-                                  cfg.get_float("sampler.boosted_fraction"))
-            result, spp_map = adaptive_pipeline_render(
-                scene, camera, prop, budget, seed=args.seed,
-                tau=cfg.get_float("sampler.tau"),
-                score_bins=cfg.get_int("sampler.score_bins"),
-                merge_probe=cfg.get_bool("sampler.merge_probe_samples"),
-                workers=workers)
+            result, spp_map = adaptive_pipeline_render(pipe, prop)
             spp_note = f"mean {spp_map.mean():.1f}"
         else:
-            samples = method_samples(
-                args.method, prop, args.spp, args.seed, cfg.get_float("sampler.tau"),
-                camera.height, camera.width,
-                merge_probe=cfg.get_bool("sampler.merge_probe_samples"))
-            result = render_full(scene, camera, samples, workers=workers)
+            samples = method_samples(args.method, prop, args.spp, args.seed,
+                                     pipe.tau, camera.height, camera.width,
+                                     merge_probe=pipe.merge_probe)
+            result = render_full(scene, camera, samples, workers=pipe.workers)
             spp_note = f"{args.spp}"
 
     stem = f"{scene.name}_{args.method}"
@@ -134,16 +124,10 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, methods: tuple | None = None, spp_list: tuple | None = None) -> int:
-    cfg = Config.load(args.config)
-    spec = BenchSpec.from_config(cfg, seed=args.seed, workers=_workers(args),
-                                 deterministic=args.deterministic)
-    if methods is not None:
-        spec.methods = methods
-    if spp_list is not None:
-        spec.spp_list = spp_list
+def cmd_bench(args, overrides: dict[str, str] | None = None) -> int:
+    pipe = _pipeline(args, overrides)
     out = _out_dir(args)
-    rows, _ = run_bench(spec, out_dir=out)
+    rows, _ = run_bench(pipe, out_dir=out)
     best = {}
     for r in rows:
         key = (r.method, r.spp)
@@ -156,27 +140,15 @@ def cmd_bench(args, methods: tuple | None = None, spp_list: tuple | None = None)
 
 
 def cmd_train(args) -> int:
-    cfg = Config.load(args.config)
-    scene = scene_from_config(cfg)
-    camera = camera_from_config(cfg)
+    pipe = _pipeline(args)
+    tc = replace(pipe.training, steps=args.steps or pipe.training.steps)
+    if tc.patch > min(pipe.camera.height, pipe.camera.width):
+        raise ConfigError("train.patch must not exceed camera.height or camera.width")
     out = _out_dir(args)
-    tc = TrainConfig(steps=args.steps or cfg.get_int("train.steps"),
-                     lr=cfg.get_float("train.lr"),
-                     lr_end_factor=cfg.get_float("train.lr_end_factor"),
-                     adam_beta1=cfg.get_float("train.adam_beta1"),
-                     adam_beta2=cfg.get_float("train.adam_beta2"),
-                     patch=cfg.get_int("train.patch"),
-                     blur_sigma=cfg.get_float("train.blur_sigma"),
-                     blur_radius=cfg.get_int("train.blur_radius"),
-                     suppress_eps=cfg.get_float("train.suppress_eps"),
-                     z_bins=cfg.get_int("render.z_bins"),
-                     probe_mode=cfg.get("render.probe_mode"))
-    net = ProposalNet(z_bins=tc.z_bins,
-                      hidden=cfg.get_int("proposal.hidden_channels"),
-                      seed=args.seed)
+    net = ProposalNet(z_bins=pipe.z_bins, hidden=pipe.hidden_channels, seed=args.seed)
     t0 = time.perf_counter()
-    losses = train(net, scene, camera, tc, seed=args.seed,
-                   workers=_workers(args), log_every=max(1, tc.steps // 10))
+    losses = train(net, pipe.scene, pipe.camera, tc, seed=args.seed,
+                   workers=pipe.workers, log_every=max(1, tc.steps // 10))
     dt = time.perf_counter() - t0
     ckpt = out / "proposal.vsmp"
     save_checkpoint(net, ckpt)
@@ -190,9 +162,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spp_list = tuple(int(v) for v in args.spp.split(",") if v.strip())
-    return cmd_bench(args, methods=("unstratified", "stratified", "robust"),
-                     spp_list=spp_list)
+    return cmd_bench(args, {"bench.methods": "unstratified,stratified,robust",
+                            "bench.spp": args.spp})
 
 
 def cmd_info(args) -> int:

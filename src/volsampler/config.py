@@ -19,7 +19,8 @@ DEFAULTS: dict[str, str] = {
     "scene.beta_band": "",
     "scene.radius": "",
     "scene.wall_z": "",
-    # target (full-resolution) camera; probe renders at 1/probe_factor
+    # target (full-resolution) camera; the probe renders at 1/4 of it
+    # (proposal.UPSCALE), so height and width are multiples of 4
     "camera.position": "0,0,2.8",
     "camera.look_at": "0,0,0",
     "camera.up": "0,1,0",
@@ -28,7 +29,6 @@ DEFAULTS: dict[str, str] = {
     "camera.width": "128",
     # render
     "render.z_bins": "192",
-    "render.probe_factor": "4",
     "render.probe_mode": "midpoint",
     "render.reference_spp": "384",
     # sampler
@@ -38,7 +38,6 @@ DEFAULTS: dict[str, str] = {
     "sampler.boosted_spp": "32",
     "sampler.boosted_fraction": "0.10",
     "sampler.merge_probe_samples": "true",
-    "sampler.fallback": "uniform",   # zero-PDF fallback; only mode implemented
     # proposal source: probe-lift | checkpoint | oracle-full
     "proposal.source": "probe-lift",
     "proposal.checkpoint": "",
@@ -54,13 +53,6 @@ DEFAULTS: dict[str, str] = {
     "train.blur_sigma": "1.0",
     "train.blur_radius": "3",
     "train.suppress_eps": "5e-3",
-    # regularizers
-    "reg.lambda_sampler": "1.0",
-    "reg.lambda_surface": "1.0",
-    "reg.lambda_dec": "1.0",
-    "reg.b_target_start": "0.01",
-    "reg.b_target_end": "0.001",
-    "reg.b_target_steps": "200",
     # bench
     "bench.methods": "unstratified,stratified,robust",
     "bench.spp": "2,4,8,16,32,64",

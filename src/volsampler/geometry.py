@@ -98,6 +98,13 @@ class Camera:
         object.__setattr__(self, "position", _as_vec3(self.position))
         object.__setattr__(self, "look_at", _as_vec3(self.look_at))
         object.__setattr__(self, "up", _as_vec3(self.up))
+        view = self.look_at - self.position
+        # zero when the camera sits on its target or up is parallel to the
+        # view direction: no image plane (also false for non-finite values)
+        if not (np.linalg.norm(np.cross(view, self.up))
+                > 1e-9 * np.linalg.norm(view) * np.linalg.norm(self.up)):
+            raise ValueError("camera up must not be parallel to the view direction"
+                             " (and look_at must differ from position)")
         if not (0.0 < self.fov_y < math.pi):
             raise ValueError("fov_y must be in (0, pi)")
         if self.height < 1 or self.width < 1:

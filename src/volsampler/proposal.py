@@ -229,6 +229,13 @@ class TrainConfig:
         return lo + 0.5 * (self.lr - lo) * (1.0 + np.cos(np.pi * frac))
 
 
+def probe_camera(camera: Camera) -> Camera:
+    """The probe's camera: the same pose and fov at 1/UPSCALE of the
+    resolution per side."""
+    return Camera(camera.position, camera.look_at, camera.up, camera.fov_y,
+                  camera.height // UPSCALE, camera.width // UPSCALE)
+
+
 def probe_inputs(probe: ProbeOutput, dtype=np.float32):
     return (probe.weights[None].astype(dtype),
             np.moveaxis(probe.image, -1, 0)[None].astype(dtype),
@@ -332,12 +339,8 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
     if cfg.patch > min(camera_full.height, camera_full.width):
         raise ValueError("patch must fit inside the full-resolution image")
     if probe is None:
-        probe_cam = Camera(camera_full.position, camera_full.look_at,
-                           camera_full.up, camera_full.fov_y,
-                           camera_full.height // UPSCALE,
-                           camera_full.width // UPSCALE)
-        probe = render_probe(scene, probe_cam, cfg.z_bins, mode=cfg.probe_mode,
-                             workers=workers)
+        probe = render_probe(scene, probe_camera(camera_full), cfg.z_bins,
+                             mode=cfg.probe_mode, workers=workers)
 
     h, w = camera_full.height, camera_full.width
     # origins are uniform over the whole image and patches wrap around its
@@ -371,9 +374,7 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
     """
     rng = np.random.default_rng(seed)
     opt = AdamState(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    probe_cam = Camera(camera_full.position, camera_full.look_at, camera_full.up,
-                       camera_full.fov_y, camera_full.height // UPSCALE,
-                       camera_full.width // UPSCALE)
+    probe_cam = probe_camera(camera_full)
     losses = []
     probe = None
     if cfg.probe_mode == "midpoint" and scene_factory is None:
@@ -437,6 +438,9 @@ def load_checkpoint(net: ProposalNet, path) -> None:
             raise CheckpointError(f"checkpoint has {count} tensors, net has {len(net.params)}")
         for p in net.params:
             (ndim,) = struct.unpack("<I", _read(f, 4))
+            if ndim != p.value.ndim:
+                raise CheckpointError(f"rank mismatch for {p.name}: "
+                                      f"checkpoint {ndim}, net {p.value.ndim}")
             shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim))
             if shape != p.value.shape:
                 raise CheckpointError(f"shape mismatch for {p.name}: "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Ray, RayBins, clip_to_box
+from .geometry import Camera, Ray, clip_to_box
 from .sampling import inverse_cdf_sample_edges, stratified_u_block
 from .scenes import SceneOracle, laplace_density
 
@@ -284,9 +284,3 @@ def render_reference(scene: SceneOracle, camera: Camera, total: int = 384,
                        PixelSamples.dense(mid.reshape(h, w, k),
                                           width.reshape(h, w, k)),
                        workers=workers)
-
-
-def probe_bins(probe: ProbeOutput, pixel: tuple[int, int]) -> RayBins:
-    """Ray bins of one probe pixel."""
-    i, j = pixel
-    return RayBins(float(probe.t_near[i, j]), float(probe.t_far[i, j]), probe.z)

@@ -1,10 +1,10 @@
 """Procedural SDF scenes with spatially varying surface variance.
 
 Each scene answers point queries analytically: signed distance s (negative
-inside), Laplace variance beta controlling surface softness, view-dependent
-RGB radiance, and a fixed 8-dim geometry feature. The signed distance is
-mapped to volume-rendering opacity through the Laplace CDF, oriented so that
-opacity saturates at 1/beta deep inside a surface and decays to zero outside.
+inside), Laplace variance beta controlling surface softness, and
+view-dependent RGB radiance. The signed distance is mapped to
+volume-rendering opacity through the Laplace CDF, oriented so that opacity
+saturates at 1/beta deep inside a surface and decays to zero outside.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from .geometry import normalize
 
 BETA_MIN = 1e-4
 BETA_MAX = 1e-1
-
-F_GEO_DIM = 8
 
 _LIGHT_DIR = normalize(np.array([0.45, 0.70, 0.55]))
 _AMBIENT = 0.25
@@ -53,16 +51,6 @@ def beta_activation(beta_pre):
     beta_pre = np.asarray(beta_pre, dtype=np.float64)
     b = 0.01 + np.tanh(2.0 * beta_pre) * (0.01 - 0.0001)
     return np.clip(b, 0.0001, 0.0199)
-
-
-@dataclass
-class SceneSample:
-    """Vectorized field samples at N query points."""
-
-    s: np.ndarray          # (N,) signed distance, negative inside
-    beta: np.ndarray       # (N,) Laplace variance
-    radiance: np.ndarray   # (N, 3) RGB in [0, 1]
-    f_geo: np.ndarray      # (N, F_GEO_DIM)
 
 
 def _sphere_sdf(p, center, radius):
@@ -131,25 +119,10 @@ class SceneOracle:
         return np.clip(rgb, 0.0, 1.0)
 
     def fields(self, p: np.ndarray, v: np.ndarray):
-        """Fast path for rendering: (s, beta, radiance) without f_geo."""
+        """(s, beta, radiance) at points p viewed along v."""
         p = np.asarray(p, dtype=np.float64)
         return self.sdf(p), self.beta_field(p), self.radiance(p, v)
 
-    def f_geo(self, p: np.ndarray, s: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        out = np.empty(p.shape[:-1] + (F_GEO_DIM,))
-        out[..., 0:3] = p
-        out[..., 3] = s
-        out[..., 4] = np.sin(3.0 * p[..., 0])
-        out[..., 5] = np.sin(3.0 * p[..., 1])
-        out[..., 6] = np.sin(3.0 * p[..., 2])
-        out[..., 7] = np.exp(-s * s)
-        return out
-
-    def query(self, p: np.ndarray, v: np.ndarray) -> SceneSample:
-        """Sample (s, beta, radiance, f_geo) at points p viewed along v."""
-        s, beta, rgb = self.fields(p, v)
-        return SceneSample(s=s, beta=beta, radiance=rgb, f_geo=self.f_geo(p, s))
 
 
 def _constant_beta(value):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ import pytest
 
 from conftest import finite_diff, ray_sphere_hit, rel_err, small_camera
 from volsampler import nn
-from volsampler.bench import (adaptive_pipeline_render, method_samples,
-                              prepare_proposals)
+from volsampler.bench import (Pipeline, adaptive_pipeline_render,
+                              method_samples, prepare_proposals)
+from volsampler.config import Config
 from volsampler.metrics import foreground_psnr, psnr, worst_percentile_psnr
 from volsampler.proposal import ProposalNet, TrainConfig, train
 from volsampler.regularizers import decision_loss, surface_loss
@@ -268,6 +270,9 @@ class TrainedSampler:
         t0 = time.perf_counter()
         self.scene = make_scene("two-spheres", beta=ACCEPT_BETA)
         self.camera = small_camera(128)
+        self.pipeline = replace(Pipeline.from_config(Config.load(None), workers=2),
+                                scene=self.scene, camera=self.camera,
+                                proposal_source="checkpoint")
         self.net = ProposalNet(z_bins=192, hidden=64, seed=0)
         cfg = TrainConfig(steps=TRAIN_STEPS, lr=TRAIN_LR, patch=TRAIN_PATCH)
         self.losses = train(self.net, self.scene, self.camera, cfg, seed=0,
@@ -275,8 +280,7 @@ class TrainedSampler:
         self.reference = render_reference(self.scene, self.camera, 384,
                                           seed=derive_seed(0, 999), workers=2)
         self.foreground = self.reference.accumulated_opacity > 0.5
-        self.proposals = prepare_proposals(self.scene, self.camera, 192, 4,
-                                           "checkpoint", net=self.net, workers=2)
+        self.proposals = prepare_proposals(self.pipeline, net=self.net)
         self.elapsed = time.perf_counter() - t0
 
 
@@ -294,8 +298,8 @@ def test_c7_sampler_training(trained):
         reduction = 1.0 - last / first
 
         out, spp_map = adaptive_pipeline_render(
-            trained.scene, trained.camera, trained.proposals,
-            SampleBudget(16, 32, 0.10), seed=13, merge_probe=True, workers=2)
+            replace(trained.pipeline, budget=SampleBudget(16, 32, 0.10), seed=13,
+                    merge_probe=True), trained.proposals)
         u96 = render_uniform(trained.scene, trained.camera, 96, seed=11, workers=2)
         u17 = render_uniform(trained.scene, trained.camera, 17, seed=12, workers=2)
         ref = trained.reference.radiance
@@ -382,7 +386,6 @@ scene.beta = 0.004
 camera.height = 32
 camera.width = 32
 render.z_bins = 64
-render.probe_factor = 4
 bench.methods = stratified,robust
 bench.spp = 2,4
 bench.trials = 1

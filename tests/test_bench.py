@@ -1,25 +1,29 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import small_camera
-from volsampler.bench import (CSV_HEADER, BenchSpec, MetricRow, method_samples,
+from volsampler.bench import (CSV_HEADER, MetricRow, Pipeline, method_samples,
                               parse_csv, prepare_proposals, robust_samples,
                               rows_to_csv, run_bench)
+from volsampler.config import Config
 from volsampler.metrics import psnr
 from volsampler.render import render_full, render_uniform
 from volsampler.sampling import adaptive_score_grid
 from volsampler.scenes import make_scene
 
 
-def tiny_spec(**kw):
-    args = dict(scene=make_scene("two-spheres", beta=0.004),
-                camera=small_camera(16), methods=("stratified", "robust"),
-                spp_list=(2, 4), trials=1, seed=3, z_bins=48, probe_factor=4,
-                reference_spp=96)
-    args.update(kw)
-    return BenchSpec(**args)
+def tiny_spec(config=(), **fields):
+    """Pipeline from the tiny bench config plus `config` overrides, with
+    `fields` replaced afterwards."""
+    cfg = Config.load(None, overrides={
+        "scene.beta": "0.004", "camera.height": "16", "camera.width": "16",
+        "bench.methods": "stratified,robust", "bench.spp": "2,4",
+        "bench.trials": "1", "render.z_bins": "48", "render.reference_spp": "96",
+        **dict(config)})
+    return replace(Pipeline.from_config(cfg, seed=3), **fields)
 
 
 class TestCsv:
@@ -44,15 +48,15 @@ class TestCsv:
 class TestBenchSpecValidation:
     def test_unknown_method(self):
         with pytest.raises(Exception):
-            tiny_spec(methods=("sorcery",))
+            tiny_spec({"bench.methods": "sorcery"})
 
     def test_bad_spp(self):
         with pytest.raises(Exception):
-            tiny_spec(spp_list=(0,))
+            tiny_spec({"bench.spp": "0"})
 
     def test_bad_trials(self):
         with pytest.raises(Exception):
-            tiny_spec(trials=0)
+            tiny_spec({"bench.trials": "0"})
 
 
 class TestRunBench:
@@ -113,7 +117,7 @@ class TestRunBench:
 class TestProposalsAndMethods:
     def test_probe_lift_pdf_rows_normalized(self):
         sc = make_scene("two-spheres", beta=0.004)
-        prop = prepare_proposals(sc, small_camera(16), 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=small_camera(16)))
         sums = prop.pdf.sum(axis=1)
         hit = sums > 0
         np.testing.assert_allclose(sums[hit], 1.0, atol=1e-9)
@@ -121,18 +125,20 @@ class TestProposalsAndMethods:
 
     def test_oracle_full_matches_resolution(self):
         sc = make_scene("sphere")
-        prop = prepare_proposals(sc, small_camera(16), 48, 4, "oracle-full")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=small_camera(16),
+                                           proposal_source="oracle-full"))
         assert prop.pdf.shape == (256, 48)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(Exception):
-            prepare_proposals(make_scene("sphere"), small_camera(16), 48, 4,
-                              "tea-leaves")
+            prepare_proposals(tiny_spec(scene=make_scene("sphere"),
+                                        camera=small_camera(16),
+                                        proposal_source="tea-leaves"))
 
     def test_method_samples_shapes_and_render(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(sc, cam, 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
         for m in ("uniform-dense", "unstratified", "stratified", "robust"):
             samples = method_samples(m, prop, 6, seed=4, height=16, width=16)
             out = render_full(sc, cam, samples)
@@ -143,7 +149,7 @@ class TestProposalsAndMethods:
     def test_background_rows_fall_back_to_uniform(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(sc, cam, 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
         bg = np.flatnonzero(prop.pdf.sum(axis=1) == 0)
         assert bg.size > 0  # corners miss both spheres
         samples = method_samples("robust", prop, 4, seed=4, height=16, width=16)
@@ -153,7 +159,7 @@ class TestProposalsAndMethods:
     def test_adaptive_budget_grouping(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(sc, cam, 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
         scores = adaptive_score_grid(prop.pdf, 8)
         spp_map = np.where(scores > np.median(scores), 8, 4).astype(np.int64)
         samples = robust_samples(prop, spp_map, seed=4, height=16, width=16)
@@ -165,7 +171,7 @@ class TestProposalsAndMethods:
     def test_merge_probe_appends_parent_coarse_positions(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(sc, cam, 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
         plain = robust_samples(prop, np.full(256, 6, dtype=np.int64), 4,
                                height=16, width=16, merge_probe=False)
         merged = robust_samples(prop, np.full(256, 6, dtype=np.int64), 4,
@@ -182,15 +188,14 @@ class TestAdaptivePipeline:
 
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(sc, cam, 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
         return sc, cam, prop, adaptive_pipeline_render, SampleBudget
 
     def test_budget_mean_and_determinism(self):
         sc, cam, prop, pipeline, SampleBudget = self.setup_pipe()
-        out1, spp1 = pipeline(sc, cam, prop, SampleBudget(4, 8, 0.25), seed=3,
-                              workers=1)
-        out2, spp2 = pipeline(sc, cam, prop, SampleBudget(4, 8, 0.25), seed=3,
-                              workers=3)
+        pipe = tiny_spec(scene=sc, camera=cam, budget=SampleBudget(4, 8, 0.25))
+        out1, spp1 = pipeline(replace(pipe, workers=1), prop)
+        out2, spp2 = pipeline(replace(pipe, workers=3), prop)
         assert spp1.mean() == pytest.approx(4 + 0.25 * 4, abs=1e-12)
         assert np.array_equal(spp1, spp2)
         assert np.array_equal(out1.radiance, out2.radiance)
@@ -200,7 +205,7 @@ class TestAdaptivePipeline:
 
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(32)  # probe 8x8: corners sit >1 parent from geometry
-        prop = prepare_proposals(sc, cam, 48, 4, "probe-lift")
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
         mask = coverage_mask(prop, 32, 32).reshape(32, 32)
         assert mask.any() and not mask.all()
         assert mask[16, 16]

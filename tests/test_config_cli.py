@@ -1,11 +1,19 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from volsampler.bench import Pipeline
 from volsampler.cli import main
-from volsampler.config import Config, ConfigError, parse_config_text
+from volsampler.config import DEFAULTS, Config, ConfigError, parse_config_text
 from volsampler.proposal import ProposalNet, save_checkpoint
 
 
@@ -77,7 +85,6 @@ scene.name = two-spheres
 camera.height = 16
 camera.width = 16
 render.z_bins = 48
-render.probe_factor = 4
 bench.methods = stratified
 bench.spp = 2
 bench.trials = 1
@@ -218,3 +225,114 @@ train.patch = 8
         cfg.write_text(TINY + "sampler.fallback = resample\n")
         assert main(["bench", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 2
+
+
+# (subcommand, config lines added to TINY); each is refused before anything
+# larger than TINY's 16x16 camera is rendered
+BAD_INPUTS = [
+    ("render", "camera.height = 0"),
+    ("render", "sampler.tau = 0"),
+    ("render", "sampler.score_bins = 48"),  # = render.z_bins
+    ("render", "sampler.base_spp = 0"),
+    ("render", "render.probe_factor = 0"),
+    ("render", "render.probe_mode = foo"),
+    ("render", "scene.name = cube"),
+    ("render", "camera.fov = 4"),
+    ("bench", "render.reference_spp = 0"),
+    ("train-proposal", "train.steps = 1\ntrain.patch = 100"),
+    ("train-proposal", "train.steps = 1\ncamera.height = 18"),
+    ("render", "camera.up = 0,0,1"),  # parallel to the view direction
+    ("render", "scene.beta = -1"),
+    ("render", "proposal.lift_blur_sigma = nan"),
+]
+
+
+@pytest.mark.parametrize("command,extra", BAD_INPUTS,
+                         ids=[extra.splitlines()[-1] for _, extra in BAD_INPUTS])
+def test_invalid_value_exits_2(tmp_path, capsys, command, extra):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY + extra + "\n")
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@dataclass
+class RecordingConfig(Config):
+    read: set = field(default_factory=set)
+
+    def get(self, key: str) -> str:
+        self.read.add(key)
+        return super().get(key)
+
+
+def test_pipeline_reads_every_config_key():
+    cfg = RecordingConfig(dict(DEFAULTS))
+    Pipeline.from_config(cfg)
+    assert cfg.read == set(DEFAULTS)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_VALUES = st.one_of(
+    st.sampled_from(["", "0", "1", "-1", "3", "4", "16", "48", "nan", "inf",
+                     "1e308", "0,0,1", "0,1,0", "0,0,2.8", "true", "no", "foo",
+                     "two-spheres", "wall", "checkpoint", "oracle-full",
+                     "stratified", "robust", "robust,sorcery", "2,0"]),
+    st.integers(-10**4, 10**4).map(str),
+    st.floats().map(str),
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v))),
+    _TEXT)
+_LINES = st.one_of(st.tuples(st.sampled_from(sorted(DEFAULTS)), _VALUES)
+                   .map(lambda kv: f"{kv[0]} = {kv[1]}"), _TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=8))
+def test_any_config_text_gives_a_pipeline_or_config_error(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            pipe = Pipeline.from_config(Config.load(path))
+        except ConfigError:
+            return
+    assert isinstance(pipe, Pipeline)
+
+
+def _header_offsets(net: ProposalNet) -> list[int]:
+    """Byte offsets of a checkpoint's file header and of every tensor's
+    rank and shape fields: changing any of them makes the file malformed."""
+    offsets, pos = list(range(12)), 12
+    for p in net.params:
+        size = 4 + 4 * p.value.ndim
+        offsets += range(pos, pos + size)
+        pos += size + 4 * p.value.size
+    return offsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_exits_3(data):
+    net = ProposalNet(z_bins=16, hidden=4)
+    with tempfile.TemporaryDirectory() as d:
+        ckpt = Path(d) / "net.vsmp"
+        save_checkpoint(net, ckpt)
+        raw = ckpt.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "append", "header"]))
+        if kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "append":
+            raw += data.draw(st.binary(min_size=1, max_size=16))
+        else:
+            at = data.draw(st.sampled_from(_header_offsets(net)))
+            raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1:]
+        ckpt.write_bytes(raw)
+        cfg = Path(d) / "c.cfg"
+        cfg.write_text("scene.name = wall\ncamera.height = 16\ncamera.width = 16\n"
+                       "render.z_bins = 16\nsampler.score_bins = 8\n"
+                       "proposal.hidden_channels = 4\nproposal.source = checkpoint\n"
+                       f"proposal.checkpoint = {ckpt}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["render", "--config", str(cfg), "--out-dir", str(Path(d) / "o")])
+    assert code == 3, err.getvalue()
+    assert "checkpoint error:" in err.getvalue()

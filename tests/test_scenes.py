@@ -36,11 +36,10 @@ class TestSceneQueries:
         sc = make_scene("textured-sphere")
         p = rng.uniform(-1, 1, size=(64, 3))
         v = np.tile([0.0, 0.0, -1.0], (64, 1))
-        a = sc.query(p, v)
-        b = sc.query(p, v)
-        assert np.array_equal(a.s, b.s)
-        assert np.array_equal(a.radiance, b.radiance)
-        assert np.array_equal(a.f_geo, b.f_geo)
+        a_s, _, a_rgb = sc.fields(p, v)
+        b_s, _, b_rgb = sc.fields(p, v)
+        assert np.array_equal(a_s, b_s)
+        assert np.array_equal(a_rgb, b_rgb)
 
     @pytest.mark.parametrize("name", ALL_SCENES)
     def test_sample_invariants(self, name, rng):
@@ -48,10 +47,9 @@ class TestSceneQueries:
         p = rng.uniform(-1, 1, size=(512, 3))
         v = rng.standard_normal((512, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        out = sc.query(p, v)
-        assert np.all(out.beta >= BETA_MIN) and np.all(out.beta <= BETA_MAX)
-        assert np.all(out.radiance >= 0.0) and np.all(out.radiance <= 1.0)
-        assert out.f_geo.shape == (512, 8)
+        _, beta, radiance = sc.fields(p, v)
+        assert np.all(beta >= BETA_MIN) and np.all(beta <= BETA_MAX)
+        assert np.all(radiance >= 0.0) and np.all(radiance <= 1.0)
 
     @pytest.mark.parametrize("name", ALL_SCENES)
     def test_sdf_lipschitz_along_rays(self, name, rng):
