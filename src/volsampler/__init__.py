@@ -7,26 +7,22 @@ two-pass reference.
 """
 __version__ = "0.1.0"
 
-from .geometry import BOX_MAX, BOX_MIN, Camera, Ray, RayBins, default_camera
+from .geometry import BOX_MAX, BOX_MIN, Camera, default_camera
 from .metrics import psnr, worst_percentile_psnr
 from .regularizers import RegularizerConfig, decision_loss, surface_loss, total_loss
-from .render import (PixelSamples, ProbeOutput, RenderOutput, integrate_ray,
-                     render_full, render_probe, render_reference, render_uniform)
-from .sampling import (RobustPdf, SampleBudget, adaptive_score, allocate_budgets,
-                       inverse_cdf_sample, nucleus_filter, stratified_budget_sample,
-                       stratified_variates)
+from .render import (PixelSamples, ProbeOutput, RenderOutput, render_full,
+                     render_probe, render_reference, render_uniform)
+from .sampling import SampleBudget, allocate_budgets
 from .scenes import (SCENE_NAMES, SceneOracle, beta_activation, laplace_density,
                      make_scene)
 
 __all__ = [
-    "BOX_MAX", "BOX_MIN", "Camera", "Ray", "RayBins", "default_camera",
+    "BOX_MAX", "BOX_MIN", "Camera", "default_camera",
     "psnr", "worst_percentile_psnr",
     "RegularizerConfig", "decision_loss", "surface_loss", "total_loss",
-    "PixelSamples", "ProbeOutput", "RenderOutput", "integrate_ray",
+    "PixelSamples", "ProbeOutput", "RenderOutput",
     "render_full", "render_probe", "render_reference", "render_uniform",
-    "RobustPdf", "SampleBudget", "adaptive_score", "allocate_budgets",
-    "inverse_cdf_sample", "nucleus_filter", "stratified_budget_sample",
-    "stratified_variates",
+    "SampleBudget", "allocate_budgets",
     "SCENE_NAMES", "SceneOracle", "beta_activation",
     "laplace_density", "make_scene",
     "__version__",

@@ -3,7 +3,7 @@ from the config, sampling-method comparisons scored against the 384-sample
 reference, CSV output, and the adaptive proposal-guided render pipeline.
 
 Methods:
-    uniform-dense  stratified-uniform positions, no proposal
+    uniform-dense  stratified-uniform positions, no proposal (render_uniform)
     unstratified   inverse-CDF sampling of the proposal with i.i.d. variates
     stratified     inverse-CDF sampling with stratified variates
     robust         nucleus filter -> per-stratum budgeting, clipped deltas
@@ -289,36 +289,18 @@ def _fallback_rows(pdf: np.ndarray) -> np.ndarray:
     return pdf.sum(axis=1) <= 0.0
 
 
-def _thin_support(support: np.ndarray, s: int) -> np.ndarray:
-    """Keep exactly s evenly spaced bins of each row's support (rows must have
-    more than s support bins)."""
-    m, z = support.shape
-    counts = support.sum(axis=1)
-    order = np.argsort(~support, axis=1, kind="stable")  # support indices first
-    pick = np.rint(np.linspace(0.0, 1.0, s) * (counts[:, None] - 1)).astype(np.int64)
-    kept = np.take_along_axis(order, pick, axis=1)
-    out = np.zeros_like(support)
-    np.put_along_axis(out, kept, True, axis=1)
-    return out
-
-
 def method_samples(method: str, prop: ProposalField, spp: int, seed: int,
                    tau: float = 0.98, height: int = 0, width: int = 0,
                    merge_probe: bool = True) -> PixelSamples:
-    """Per-pixel sample positions for one sampling method at a flat budget.
+    """Per-pixel sample positions for one proposal-guided method at a flat
+    budget (uniform-dense needs no proposal: render.render_uniform).
 
     The robust method always carries its probe share: the parent ray's coarse
     samples at the surviving support bins join the integral (the spp count
     covers the new samples, matching the probe's amortized-cost accounting).
     """
-    n, z = prop.pdf.shape
-    span = prop.t_far - prop.t_near
+    n = prop.pdf.shape[0]
     stream = _METHOD_IDS[method] + 11
-    if method == "uniform-dense":
-        u = stratified_u_block(n, spp, seed, stream)
-        t = prop.t_near[:, None] + u * span[:, None]
-        return PixelSamples(height, width, [(np.arange(n), t, None)])
-
     if method in ("unstratified", "stratified"):
         if method == "unstratified":
             u = np.sort(block_uniforms(seed, stream, (n, spp)), axis=1)
@@ -348,7 +330,6 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     support = nucleus_support_grid(prop.pdf, tau)
     fallback = _fallback_rows(prop.pdf)
     width_bins = (prop.t_far - prop.t_near) / z
-    sizes = support.sum(axis=1)
 
     parents = prop.parent_rows(height, width) if merge_probe else None
     probe_tn = probe_tf = None
@@ -362,16 +343,8 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     for s in np.unique(spp_map):
         rows = np.flatnonzero((spp_map == s) & ~fallback)
         if rows.size:
-            sup_rows = support[rows]
-            wide = np.flatnonzero(sizes[rows] > s)
-            if wide.size:
-                # budgets below the support size would chase the largest
-                # predicted bins only; an evenly thinned support keeps the
-                # whole depth range covered at one sample per kept bin
-                sup_rows = sup_rows.copy()
-                sup_rows[wide] = _thin_support(sup_rows[wide], int(s))
             xi = block_uniforms(seed, 23, (n, int(s)))[rows]
-            t, delta = budget_sample_grid(sup_rows, prop.pdf[rows], int(s),
+            t, delta = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
                                           prop.t_near[rows], prop.t_far[rows], xi)
             if merge_probe:
                 t, delta = _merge_probe_lift(t, lift_bins[parents[rows]],

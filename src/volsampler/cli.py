@@ -95,6 +95,8 @@ def _pipeline(args, overrides: dict[str, str] | None = None) -> Pipeline:
 def cmd_render(args) -> int:
     from .imageio import write_pfm, write_ppm
 
+    if args.spp < 1:
+        raise ConfigError("render --spp must be >= 1")
     pipe = _pipeline(args)
     scene, camera = pipe.scene, pipe.camera
     out = _out_dir(args)
@@ -140,8 +142,11 @@ def cmd_bench(args, overrides: dict[str, str] | None = None) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError("train-proposal --steps must be >= 1")
     pipe = _pipeline(args)
-    tc = replace(pipe.training, steps=args.steps or pipe.training.steps)
+    tc = (pipe.training if args.steps is None
+          else replace(pipe.training, steps=args.steps))
     if tc.patch > min(pipe.camera.height, pipe.camera.width):
         raise ConfigError("train.patch must not exceed camera.height or camera.width")
     out = _out_dir(args)
@@ -179,7 +184,6 @@ def cmd_info(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.seterr(all="ignore")
     handlers = {"render": cmd_render, "bench": cmd_bench,
                 "train-proposal": cmd_train, "compare-samplers": cmd_compare,
                 "info": cmd_info}

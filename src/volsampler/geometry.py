@@ -1,4 +1,4 @@
-"""Rays, pinhole cameras, and uniform depth bins over the scene box.
+"""Pinhole cameras over the scene box and clipping to it.
 
 All scene content lives inside the axis-aligned box [-1, 1]^3; cameras sit
 outside and every primary ray is clipped to the box, which defines the
@@ -31,59 +31,6 @@ def _as_vec3(v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A clipped primary ray: points are origin + t * direction, t in [t_near, t_far]."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-    t_near: float
-    t_far: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", _as_vec3(self.origin))
-        d = _as_vec3(self.direction)
-        if abs(np.dot(d, d) - 1.0) > 2e-9:
-            raise ValueError("ray direction must be unit length")
-        object.__setattr__(self, "direction", d)
-        if not (0.0 <= self.t_near < self.t_far) or not math.isfinite(self.t_far):
-            raise ValueError(f"bad ray interval [{self.t_near}, {self.t_far}]")
-
-    def at(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return self.origin + t[..., None] * self.direction
-
-
-@dataclass(frozen=True)
-class RayBins:
-    """Z uniform depth bins over a ray interval; the support of piecewise-constant PDFs."""
-
-    t_near: float
-    t_far: float
-    z: int = 192
-
-    def __post_init__(self):
-        if self.z < 2:
-            raise ValueError("need at least 2 bins")
-        if not self.t_near < self.t_far:
-            raise ValueError("t_near must be < t_far")
-
-    @property
-    def width(self) -> float:
-        return (self.t_far - self.t_near) / self.z
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.t_near, self.t_far, self.z + 1)
-
-    def centers(self) -> np.ndarray:
-        e = self.edges()
-        return 0.5 * (e[:-1] + e[1:])
-
-    def index_of(self, t: float) -> int:
-        k = int((t - self.t_near) / self.width)
-        return min(max(k, 0), self.z - 1)
-
-
-@dataclass(frozen=True)
 class Camera:
     """Pinhole camera: position + look-at pose, vertical fov in radians, H x W pixels."""
 
@@ -98,11 +45,14 @@ class Camera:
         object.__setattr__(self, "position", _as_vec3(self.position))
         object.__setattr__(self, "look_at", _as_vec3(self.look_at))
         object.__setattr__(self, "up", _as_vec3(self.up))
-        view = self.look_at - self.position
         # zero when the camera sits on its target or up is parallel to the
-        # view direction: no image plane (also false for non-finite values)
-        if not (np.linalg.norm(np.cross(view, self.up))
-                > 1e-9 * np.linalg.norm(view) * np.linalg.norm(self.up)):
+        # view direction: no image plane (also false for non-finite values,
+        # so a pose that overflows is refused without a warning)
+        with np.errstate(over="ignore", invalid="ignore"):
+            view = self.look_at - self.position
+            has_plane = (np.linalg.norm(np.cross(view, self.up))
+                         > 1e-9 * np.linalg.norm(view) * np.linalg.norm(self.up))
+        if not has_plane:
             raise ValueError("camera up must not be parallel to the view direction"
                              " (and look_at must differ from position)")
         if not (0.0 < self.fov_y < math.pi):

@@ -165,9 +165,7 @@ class ProposalNet:
 
     def predict(self, probe: ProbeOutput) -> np.ndarray:
         """Softmax proposal grid (Z, 4h, 4w) from a probe."""
-        logits = self.forward(probe.weights[None].astype(self.dtype),
-                              np.moveaxis(probe.image, -1, 0)[None].astype(self.dtype),
-                              np.moveaxis(probe.dirs, -1, 0)[None].astype(self.dtype))
+        logits = self.forward(*probe_inputs(probe, self.dtype))
         return softmax_channels(logits.astype(np.float64))[0]
 
     def _wb(self, name):

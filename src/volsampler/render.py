@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, Ray, clip_to_box
+from .geometry import Camera, clip_to_box
 from .sampling import inverse_cdf_sample_edges, stratified_u_block
 from .scenes import SceneOracle, laplace_density
 
@@ -120,17 +120,6 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
     rgb = np.sum(weights[:, :, None] * rgb_samples, axis=1)
     return {"rgb": rgb, "weights": weights, "s": s, "beta": beta,
             "trans_end": trans_end}
-
-
-def integrate_ray(scene: SceneOracle, ray: Ray, t_samples: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Single-ray contract: (radiance, weights, per-sample s, per-sample beta)."""
-    t = np.asarray(t_samples, dtype=np.float64).reshape(-1)
-    if t.size == 0:
-        raise ValueError("empty sample list")
-    out = integrate_batch(scene, ray.origin[None, :], ray.direction[None, :],
-                          t[None, :], np.array([ray.t_far]))
-    return out["rgb"][0], out["weights"][0], out["s"][0], out["beta"][0]
 
 
 def _run_chunks(fn, n: int, workers: int, samples_per_ray: int = 192) -> None:

@@ -3,7 +3,9 @@
 Covers inverse-CDF sampling, stratified variates, the nucleus-style robust
 filter (minimal bin set holding tau of the mass, sampled uniformly),
 per-stratum sample budgeting with bin-width delta clipping, and the adaptive
-per-pixel budget allocation driven by leftover probability mass.
+per-pixel budget allocation driven by leftover probability mass. A budget
+below a pixel's support size samples an evenly thinned support, one sample
+per kept bin; budget_sample_grid makes that decision.
 
 Every operation is pure given explicit random variates; image-scale paths
 take precomputed variate blocks so results are independent of worker count
@@ -14,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import RayBins
 
 _U64 = np.uint64
 
@@ -57,34 +57,10 @@ class SampleBudget:
         return self.base_spp + self.boosted_fraction * (self.boosted_spp - self.base_spp)
 
 
-@dataclass(frozen=True)
-class RobustPdf:
-    """Uniform distribution over the minimal high-probability bin set I."""
-
-    support: np.ndarray  # sorted bin indices
-    z: int
-
-    def __post_init__(self):
-        sup = np.asarray(self.support, dtype=np.int64)
-        if sup.size == 0:
-            raise ValueError("robust support must be non-empty")
-        object.__setattr__(self, "support", sup)
-
-    def probs(self) -> np.ndarray:
-        p = np.zeros(self.z)
-        p[self.support] = 1.0 / self.support.size
-        return p
-
-
-def stratified_variates(n: int, rng) -> np.ndarray:
-    """n jittered variates, one per stratum [i/n, (i+1)/n); sorted by construction."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return (np.arange(n) + rng.random(n)) / n
-
-
 def stratified_u_block(n_pixels: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """(n_pixels, n) stratified variates from the block RNG."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     xi = block_uniforms(seed, stream, (n_pixels, n))
     return (np.arange(n)[None, :] + xi) / n
 
@@ -96,21 +72,6 @@ def normalize_pdf(weights: np.ndarray, axis: int = -1) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), 0.0)
     return p
-
-
-def inverse_cdf_sample(probs: np.ndarray, bins: RayBins, u: np.ndarray) -> np.ndarray:
-    """Invert the piecewise-linear CDF of a bin PDF at variates u; sorted output.
-
-    An all-zero PDF falls back to uniform sampling over [t_near, t_far] so
-    background rays always render.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if np.any((u < 0.0) | (u >= 1.0)):
-        raise ValueError("variates must lie in [0, 1)")
-    t = inverse_cdf_sample_grid(np.asarray(probs, dtype=np.float64)[None, :],
-                                np.array([bins.t_near]), np.array([bins.t_far]),
-                                u[None, :])[0]
-    return t
 
 
 def _searchsorted_rows(rows: np.ndarray, queries: np.ndarray, side: str = "right") -> np.ndarray:
@@ -159,21 +120,10 @@ def inverse_cdf_sample_edges(probs: np.ndarray, edges: np.ndarray,
     return np.sort(t, axis=1)
 
 
-def nucleus_filter(probs: np.ndarray, tau: float = 0.98) -> RobustPdf:
-    """Minimal set of highest-probability bins with cumulative mass >= tau.
-
-    Bins enter in descending probability order (ties towards lower index);
-    the result is sampled uniformly over the surviving set.
-    """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must be in (0, 1]")
-    p = np.asarray(probs, dtype=np.float64)
-    mask = nucleus_support_grid(p[None, :], tau)[0]
-    return RobustPdf(support=np.flatnonzero(mask), z=p.size)
-
-
 def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
-    """Boolean support masks (N, Z) of the nucleus filter applied per row."""
+    """Boolean support masks (N, Z) of the nucleus filter applied per row: the
+    minimal set of highest-probability bins with cumulative mass >= tau, bins
+    entering in descending probability order (ties towards lower index)."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0, 1]")
     p = np.asarray(probs, dtype=np.float64)
@@ -191,15 +141,25 @@ def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
     return rank < k[:, None]
 
 
-def _budget_allocation(support: np.ndarray, phat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-bin sample counts (N, Z): floor(s/c) per support bin, extras to the
-    largest-phat support bins, ties towards lower index. For s < c only the s
-    largest-phat bins receive one sample (documented bias)."""
+def _thin_support(support: np.ndarray, s: int) -> np.ndarray:
+    """Keep exactly s evenly spaced bins of each row's support (rows must have
+    more than s support bins)."""
+    counts = support.sum(axis=1)
+    order = np.argsort(~support, axis=1, kind="stable")  # support indices first
+    pick = np.rint(np.linspace(0.0, 1.0, s) * (counts[:, None] - 1)).astype(np.int64)
+    out = np.zeros_like(support)
+    np.put_along_axis(out, np.take_along_axis(order, pick, axis=1), True, axis=1)
+    return out
+
+
+def _budget_allocation(support: np.ndarray, phat: np.ndarray, s: int) -> np.ndarray:
+    """Per-bin sample counts (N, Z) for supports of at most s bins: floor(s/c)
+    per support bin, extras to the largest-phat support bins, ties towards
+    lower index."""
     n, z = support.shape
     c = support.sum(axis=1)
     if np.any(c == 0):
         raise ValueError("empty robust support")
-    s = np.asarray(s, dtype=np.int64)
     base = s // c
     rem = s % c
 
@@ -207,13 +167,7 @@ def _budget_allocation(support: np.ndarray, phat: np.ndarray, s: np.ndarray) -> 
     order = np.argsort(-key, axis=1, kind="stable")
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.broadcast_to(np.arange(z), (n, z)).copy(), axis=1)
-
-    alloc = support * base[:, None] + ((rank < rem[:, None]) & support)
-    under = s < c  # fewer samples than strata: top-s bins get one each
-    if np.any(under):
-        alloc_under = ((rank < s[:, None]) & support).astype(np.int64)
-        alloc = np.where(under[:, None], alloc_under, alloc)
-    return alloc.astype(np.int64)
+    return support * base[:, None] + ((rank < rem[:, None]) & support)
 
 
 def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
@@ -222,12 +176,20 @@ def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
     """Stratified samples from robust supports at a flat budget of s per row.
 
     support, phat: (N, Z); xi: (N, s) uniforms. Returns (t, delta), both
-    (N, s), t sorted per row, delta clipped to the bin width.
+    (N, s), t sorted per row, delta clipped to the bin width. A support of
+    more than s bins is thinned to s evenly spaced bins with one sample each,
+    so the budget still spans the whole support instead of chasing its
+    largest bins.
     """
+    if s < 1:
+        raise ValueError("need s >= 1")
     n, z = support.shape
-    alloc = _budget_allocation(support, phat, np.full(n, s, dtype=np.int64))
-    total = alloc.sum(axis=1)  # == min(s, documented) == s whenever s >= 1
-    if not np.all(total == s):
+    wide = np.flatnonzero(support.sum(axis=1) > s)
+    if wide.size:
+        support = support.copy()
+        support[wide] = _thin_support(support[wide], s)
+    alloc = _budget_allocation(support, phat, s)
+    if not np.all(alloc.sum(axis=1) == s):
         raise AssertionError("allocation must sum to the budget")
 
     cum = np.cumsum(alloc, axis=1)
@@ -252,28 +214,9 @@ def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
     return t, delta
 
 
-def stratified_budget_sample(q: RobustPdf, phat: np.ndarray, s: int, bins: RayBins,
-                             rng) -> tuple[np.ndarray, np.ndarray]:
-    """Single-ray robust stratified sampling; see budget_sample_grid."""
-    if s < 1:
-        raise ValueError("need s >= 1")
-    support = np.zeros((1, q.z), dtype=bool)
-    support[0, q.support] = True
-    xi = rng.random((1, s))
-    t, delta = budget_sample_grid(support, np.asarray(phat, dtype=np.float64)[None, :],
-                                  s, np.array([bins.t_near]), np.array([bins.t_far]), xi)
-    return t[0], delta[0]
-
-
-def adaptive_score(probs: np.ndarray, k: int = 16) -> float:
-    """Leftover probability mass after removing the k largest bins; in [0, 1]."""
-    p = np.asarray(probs, dtype=np.float64)
-    if k >= p.size:
-        raise ValueError("k must be < number of bins")
-    return float(adaptive_score_grid(p[None, :], k)[0])
-
-
 def adaptive_score_grid(probs: np.ndarray, k: int = 16) -> np.ndarray:
+    """Per-row leftover probability mass after removing the k largest bins;
+    in [0, 1]."""
     p = np.asarray(probs, dtype=np.float64)
     n, z = p.shape
     if k >= z:

@@ -139,7 +139,7 @@ class TestProposalsAndMethods:
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
         prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
-        for m in ("uniform-dense", "unstratified", "stratified", "robust"):
+        for m in ("unstratified", "stratified", "robust"):
             samples = method_samples(m, prop, 6, seed=4, height=16, width=16)
             out = render_full(sc, cam, samples)
             assert np.all(np.isfinite(out.radiance))

@@ -7,6 +7,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,8 +228,8 @@ train.patch = 8
                      "--out-dir", str(tmp_path / "o")]) == 2
 
 
-# (subcommand, config lines added to TINY); each is refused before anything
-# larger than TINY's 16x16 camera is rendered
+# (subcommand with its flags, config lines added to TINY); each is refused
+# before anything larger than TINY's 16x16 camera is rendered
 BAD_INPUTS = [
     ("render", "camera.height = 0"),
     ("render", "sampler.tau = 0"),
@@ -244,16 +245,33 @@ BAD_INPUTS = [
     ("render", "camera.up = 0,0,1"),  # parallel to the view direction
     ("render", "scene.beta = -1"),
     ("render", "proposal.lift_blur_sigma = nan"),
+    ("render --method robust --spp 0", ""),
+    ("render --method uniform-dense --spp 0", ""),
+    ("train-proposal --steps -3", ""),
+    ("train-proposal --steps 0", ""),
 ]
 
 
 @pytest.mark.parametrize("command,extra", BAD_INPUTS,
-                         ids=[extra.splitlines()[-1] for _, extra in BAD_INPUTS])
+                         ids=[(extra or command).splitlines()[-1]
+                              for command, extra in BAD_INPUTS])
 def test_invalid_value_exits_2(tmp_path, capsys, command, extra):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(TINY + extra + "\n")
-    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    argv = command.split() + ["--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_main_leaves_numpy_error_state_unchanged(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY)
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        assert main(["info"]) == 0
+        assert main(["render", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        assert main(["render", "--config", str(tmp_path / "missing.cfg")]) == 2
+        assert np.geterr() == before
 
 
 @dataclass

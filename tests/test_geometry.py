@@ -3,45 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from volsampler.geometry import Camera, Ray, RayBins, clip_to_box, default_camera
-
-
-class TestRay:
-    def test_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
-            Ray(origin=(0, 0, 0), direction=(0, 0, 2.0), t_near=0.0, t_far=1.0)
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            Ray(origin=(0, 0, 0), direction=(0, 0, 1.0), t_near=1.0, t_far=1.0)
-        with pytest.raises(ValueError):
-            Ray(origin=(0, 0, 0), direction=(0, 0, 1.0), t_near=-0.5, t_far=1.0)
-
-    def test_at(self):
-        r = Ray(origin=(0, 0, 2), direction=(0, 0, -1.0), t_near=0.5, t_far=3.0)
-        np.testing.assert_allclose(r.at(np.array([2.0])), [[0, 0, 0]], atol=1e-15)
-
-
-class TestRayBins:
-    def test_edges_strictly_increasing(self):
-        b = RayBins(1.0, 3.0, 192)
-        e = b.edges()
-        assert e.shape == (193,)
-        assert np.all(np.diff(e) > 0)
-        assert b.width == pytest.approx(2.0 / 192)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RayBins(1.0, 1.0, 8)
-        with pytest.raises(ValueError):
-            RayBins(0.0, 1.0, 1)
-
-    def test_index_of_clamps(self):
-        b = RayBins(0.0, 1.0, 4)
-        assert b.index_of(0.1) == 0
-        assert b.index_of(0.99) == 3
-        assert b.index_of(5.0) == 3
-        assert b.index_of(-1.0) == 0
+from volsampler.geometry import Camera, clip_to_box, default_camera
 
 
 class TestCamera:
@@ -63,6 +25,12 @@ class TestCamera:
             Camera((0, 0, 2), (0, 0, 0), (0, 1, 0), math.pi, 4, 4)
         with pytest.raises(ValueError):
             Camera((0, 0, 2), (0, 0, 0), (0, 1, 0), 0.5, 0, 4)
+
+    def test_overflowing_pose_rejected_without_warning(self):
+        # look_at - position overflows to inf: refused as a pose with no
+        # image plane, not with an overflow RuntimeWarning
+        with pytest.raises(ValueError, match="parallel"):
+            Camera((1e308, 1e308, 1e308), (-1e308, 0, 0), (0, 1, 0), 0.5, 4, 4)
 
     def test_scaled_keeps_pose(self):
         cam = default_camera(16, 16).scaled(4)

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ray_sphere_hit, small_camera, vacuum_scene
-from volsampler.geometry import Ray
 from volsampler.metrics import psnr
 from volsampler.render import (PixelSamples, _quadrature_weights, camera_geometry,
-                               integrate_ray, render_full, render_probe,
+                               integrate_batch, render_full, render_probe,
                                render_reference, render_uniform)
 from volsampler.sampling import inverse_cdf_sample_grid, normalize_pdf
 from volsampler.scenes import SCENE_NAMES, make_scene
@@ -46,39 +45,42 @@ class TestQuadratureWeights:
         assert np.all(np.diff(trans) <= 1e-15)
 
 
+# one ray down the optical axis, clipped to the box at [1.8, 3.8]
+AXIS_O = np.array([[0.0, 0.0, 2.8]])
+AXIS_D = np.array([[0.0, 0.0, -1.0]])
+AXIS_FAR = np.array([3.8])
+
+
 class TestIntegrateRay:
     def test_opaque_single_sample(self):
         sc = make_scene("sphere", beta=1e-4)
-        ray = Ray((0, 0, 2.8), (0, 0, -1.0), 1.8, 3.8)
-        rgb, w, s, beta = integrate_ray(sc, ray, np.array([2.8]))  # center: s=-1
-        assert w[0] == pytest.approx(1.0, abs=1e-12)
+        out = integrate_batch(sc, AXIS_O, AXIS_D, np.array([[2.8]]), AXIS_FAR)  # center: s=-1
+        assert out["weights"][0, 0] == pytest.approx(1.0, abs=1e-12)
         expected_rgb = sc.radiance(np.array([[0.0, 0.0, 0.0]]),
                                    np.array([[0.0, 0.0, -1.0]]))[0]
-        np.testing.assert_allclose(rgb, expected_rgb, atol=1e-12)
-        assert s[0] == pytest.approx(-1.0)
+        np.testing.assert_allclose(out["rgb"][0], expected_rgb, atol=1e-12)
+        assert out["s"][0, 0] == pytest.approx(-1.0)
 
     def test_vacuum_all_weights_zero(self):
-        sc = vacuum_scene()
-        ray = Ray((0, 0, 2.8), (0, 0, -1.0), 1.8, 3.8)
-        rgb, w, _, _ = integrate_ray(sc, ray, np.linspace(1.9, 3.7, 16))
-        np.testing.assert_array_equal(w, np.zeros(16))
-        np.testing.assert_array_equal(rgb, np.zeros(3))
+        out = integrate_batch(vacuum_scene(), AXIS_O, AXIS_D,
+                              np.linspace(1.9, 3.7, 16)[None], AXIS_FAR)
+        np.testing.assert_array_equal(out["weights"][0], np.zeros(16))
+        np.testing.assert_array_equal(out["rgb"][0], np.zeros(3))
 
     def test_rejects_empty_and_unsorted(self):
         sc = make_scene("sphere")
-        ray = Ray((0, 0, 2.8), (0, 0, -1.0), 1.8, 3.8)
         with pytest.raises(ValueError):
-            integrate_ray(sc, ray, np.array([]))
+            integrate_batch(sc, AXIS_O, AXIS_D, np.empty((1, 0)), AXIS_FAR)
         with pytest.raises(ValueError):
-            integrate_ray(sc, ray, np.array([2.5, 2.0]))
+            integrate_batch(sc, AXIS_O, AXIS_D, np.array([[2.5, 2.0]]), AXIS_FAR)
 
     def test_matches_scalar_reference_on_real_scene(self):
         sc = make_scene("two-spheres")
-        ray = Ray((0, 0, 2.8), (0, 0, -1.0), 1.8, 3.8)
         t = np.linspace(1.85, 3.7, 48)
-        rgb, w, s, beta = integrate_ray(sc, ray, t)
+        out = integrate_batch(sc, AXIS_O, AXIS_D, t[None], AXIS_FAR)
+        w = out["weights"][0]
         from volsampler.scenes import laplace_density
-        sigma = laplace_density(s, beta)
+        sigma = laplace_density(out["s"][0], out["beta"][0])
         delta = np.append(np.diff(t), 3.8 - t[-1])
         ref_w, _ = reference_weights(sigma, delta)
         np.testing.assert_allclose(w, ref_w, atol=1e-12)

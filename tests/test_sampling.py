@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsampler.geometry import RayBins
-from volsampler.sampling import (RobustPdf, SampleBudget, adaptive_score,
-                                 adaptive_score_grid, allocate_budgets,
-                                 block_uniforms, budget_sample_grid, derive_seed,
-                                 inverse_cdf_sample, inverse_cdf_sample_edges,
+from volsampler.sampling import (SampleBudget, adaptive_score_grid,
+                                 allocate_budgets, block_uniforms,
+                                 budget_sample_grid, derive_seed,
+                                 inverse_cdf_sample_edges,
                                  inverse_cdf_sample_grid, normalize_pdf,
-                                 nucleus_filter, stratified_budget_sample,
-                                 stratified_variates, upsample_nearest)
-
-
-class ZeroRng:
-    def random(self, n):
-        return np.zeros(n)
+                                 nucleus_support_grid, stratified_u_block,
+                                 upsample_nearest)
 
 
 def brute_force_min_nucleus(probs, tau):
@@ -32,22 +26,24 @@ def brute_force_min_nucleus(probs, tau):
 
 
 class TestStratifiedVariates:
-    def test_single(self, rng):
-        u = stratified_variates(1, rng)
+    def test_single(self):
+        u = stratified_u_block(1, 1, seed=0)[0]
         assert u.shape == (1,) and 0.0 <= u[0] < 1.0
 
     def test_zero_offsets_give_stratum_left_edges(self):
-        np.testing.assert_array_equal(stratified_variates(4, ZeroRng()),
-                                      [0.0, 0.25, 0.5, 0.75])
+        # the block's uniforms are the offsets inside each stratum
+        u = stratified_u_block(1, 4, seed=3, stream=5)[0]
+        xi = block_uniforms(3, 5, (1, 4))[0]
+        np.testing.assert_allclose(u - xi / 4, [0.0, 0.25, 0.5, 0.75], atol=1e-15)
 
-    def test_rejects_zero(self, rng):
+    def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            stratified_variates(0, rng)
+            stratified_u_block(1, 0, seed=0)
 
     @given(st.integers(1, 64))
     @settings(max_examples=60, deadline=None)
     def test_sorted_within_strata(self, n):
-        u = stratified_variates(n, np.random.default_rng(0))
+        u = stratified_u_block(1, n, seed=0)[0]
         assert np.all(np.diff(u) > 0) if n > 1 else True
         k = np.arange(n)
         assert np.all(u >= k / n) and np.all(u < (k + 1) / n)
@@ -64,53 +60,48 @@ class TestStratifiedVariates:
 
 class TestInverseCdf:
     def test_identity_cdf(self):
-        bins = RayBins(0.0, 1.0, 4)
-        t = inverse_cdf_sample(np.full(4, 0.25), bins, np.array([0.5]))
-        assert t[0] == pytest.approx(0.5, abs=1e-12)
+        t = inverse_cdf_sample_grid(np.full((1, 4), 0.25), np.zeros(1), np.ones(1),
+                                    np.array([[0.5]]))
+        assert t[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_one_hot_lands_in_bin(self, rng):
-        bins = RayBins(2.0, 4.0, 10)
-        p = np.zeros(10)
-        p[6] = 1.0
-        t = inverse_cdf_sample(p, bins, rng.random(64))
-        e = bins.edges()
+        p = np.zeros((1, 10))
+        p[0, 6] = 1.0
+        t = inverse_cdf_sample_grid(p, np.array([2.0]), np.array([4.0]),
+                                    rng.random((1, 64)))
+        e = np.linspace(2.0, 4.0, 11)
         assert np.all(t >= e[6]) and np.all(t <= e[7])
 
     def test_two_bin_closed_form(self):
         # pdf (0.25, 0.75) over [0,1]; CDF at 0.5 -> t = 0.5 + (0.25/0.75)*0.5
-        bins = RayBins(0.0, 1.0, 2)
-        t = inverse_cdf_sample(np.array([0.25, 0.75]), bins, np.array([0.5]))
-        assert t[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        t = inverse_cdf_sample_grid(np.array([[0.25, 0.75]]), np.zeros(1), np.ones(1),
+                                    np.array([[0.5]]))
+        assert t[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_zero_pdf_uniform_fallback(self):
-        bins = RayBins(1.0, 3.0, 8)
         u = np.array([0.0, 0.25, 0.5, 0.75])
-        t = inverse_cdf_sample(np.zeros(8), bins, u)
-        np.testing.assert_allclose(t, 1.0 + 2.0 * u, atol=1e-12)
-
-    def test_rejects_out_of_range_variates(self):
-        bins = RayBins(0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            inverse_cdf_sample(np.full(4, 0.25), bins, np.array([1.0]))
+        t = inverse_cdf_sample_grid(np.zeros((1, 8)), np.array([1.0]), np.array([3.0]),
+                                    u[None])
+        np.testing.assert_allclose(t[0], 1.0 + 2.0 * u, atol=1e-12)
 
     def test_output_sorted(self, rng):
-        bins = RayBins(0.0, 1.0, 16)
-        p = rng.random(16)
-        t = inverse_cdf_sample(p, bins, rng.random(32))
-        assert np.all(np.diff(t) >= 0)
+        t = inverse_cdf_sample_grid(rng.random((1, 16)), np.zeros(1), np.ones(1),
+                                    rng.random((1, 32)))
+        assert np.all(np.diff(t[0]) >= 0)
 
     def test_histogram_matches_pdf_multinomial(self):
         z, n = 12, 1_000_000
         rng = np.random.default_rng(9)
         p = rng.random(z)
         p /= p.sum()
-        bins = RayBins(0.0, 1.0, z)
-        t = inverse_cdf_sample(p, bins, rng.random(n))
-        counts = np.histogram(t, bins=bins.edges())[0]
+        t = inverse_cdf_sample_grid(p[None], np.zeros(1), np.ones(1),
+                                    rng.random((1, n)))
+        counts = np.histogram(t[0], bins=np.linspace(0.0, 1.0, z + 1))[0]
         sd = np.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) <= 3.0 * sd + 1.0)
 
     def test_grid_matches_single(self, rng):
+        # each row of a batch samples as it would alone
         z = 24
         p = rng.random((5, z))
         t_near = np.array([0.0, 1.0, 2.0, 0.5, 0.1])
@@ -118,8 +109,8 @@ class TestInverseCdf:
         u = rng.random((5, 7))
         grid = inverse_cdf_sample_grid(p, t_near, t_far, u)
         for i in range(5):
-            single = inverse_cdf_sample(p[i], RayBins(t_near[i], t_far[i], z),
-                                        u[i])
+            single = inverse_cdf_sample_grid(p[i:i + 1], t_near[i:i + 1],
+                                             t_far[i:i + 1], u[i:i + 1])[0]
             np.testing.assert_allclose(grid[i], single, atol=1e-12)
 
     def test_edges_place_mass_in_its_own_interval(self, rng):
@@ -134,28 +125,31 @@ class TestInverseCdf:
 
 class TestNucleusFilter:
     def test_spec_example(self):
-        q = nucleus_filter(np.array([0.5, 0.3, 0.19, 0.01]), tau=0.98)
-        assert set(q.support.tolist()) == {0, 1, 2}
-        probs = q.probs()
-        np.testing.assert_allclose(probs[[0, 1, 2]], 1 / 3)
-        assert probs[3] == 0.0
+        p = np.array([0.5, 0.3, 0.19, 0.01])
+        mask = nucleus_support_grid(p[None], tau=0.98)
+        assert set(np.flatnonzero(mask[0]).tolist()) == {0, 1, 2}
+        # sampled uniformly: a budget of 3 puts one sample on each kept bin
+        t, _ = budget_sample_grid(mask, p[None], 3, np.zeros(1), np.ones(1),
+                                  np.full((1, 3), 0.5))
+        counts = np.histogram(t[0], bins=np.linspace(0.0, 1.0, 5))[0]
+        np.testing.assert_array_equal(counts, [1, 1, 1, 0])
 
     def test_one_hot(self):
         p = np.zeros(16)
         p[11] = 1.0
-        q = nucleus_filter(p)
-        assert q.support.tolist() == [11]
+        mask = nucleus_support_grid(p[None])[0]
+        assert np.flatnonzero(mask).tolist() == [11]
 
     def test_uniform_takes_ceil_tau_z(self):
         for z in (10, 50, 192):
-            q = nucleus_filter(np.full(z, 1.0 / z), tau=0.98)
-            assert q.support.size == int(np.ceil(0.98 * z))
+            mask = nucleus_support_grid(np.full((1, z), 1.0 / z), tau=0.98)[0]
+            assert mask.sum() == int(np.ceil(0.98 * z))
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
-            nucleus_filter(np.full(4, 0.25), tau=0.0)
+            nucleus_support_grid(np.full((1, 4), 0.25), tau=0.0)
         with pytest.raises(ValueError):
-            nucleus_filter(np.full(4, 0.25), tau=1.5)
+            nucleus_support_grid(np.full((1, 4), 0.25), tau=1.5)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_minimality_brute_force(self, seed):
@@ -164,43 +158,61 @@ class TestNucleusFilter:
         p = rng.random(z) ** 2
         p /= p.sum()
         tau = float(rng.uniform(0.5, 0.99))
-        q = nucleus_filter(p, tau)
+        mask = nucleus_support_grid(p[None], tau)[0]
         k_min, _ = brute_force_min_nucleus(p, tau)
-        assert q.support.size == k_min
-        assert p[q.support].sum() >= tau - 1e-9
+        assert mask.sum() == k_min
+        assert p[mask].sum() >= tau - 1e-9
 
     def test_tie_break_prefers_lower_index(self):
-        q = nucleus_filter(np.array([0.25, 0.25, 0.25, 0.25]), tau=0.5)
-        assert q.support.tolist() == [0, 1]
+        mask = nucleus_support_grid(np.full((1, 4), 0.25), tau=0.5)[0]
+        assert np.flatnonzero(mask).tolist() == [0, 1]
+
+
+def _bin_counts(t, z):
+    return np.histogram(t, bins=np.linspace(0.0, 1.0, z + 1))[0]
 
 
 class TestBudgetSampling:
-    def bins(self):
-        return RayBins(0.0, 1.0, 8)
-
     def test_allocation_hand_case(self, rng):
         # s=10 over c=4 strata: floor gives 2 each, the 2 extras go to the
         # two largest-phat support bins -> counts (3,3,2,2) by phat rank
-        phat = np.array([0, 0.4, 0.3, 0, 0.2, 0.1, 0, 0])
-        q = RobustPdf(support=np.array([1, 2, 4, 5]), z=8)
-        t, delta = stratified_budget_sample(q, phat, 10, self.bins(), rng)
-        counts = np.histogram(t, bins=self.bins().edges())[0]
-        np.testing.assert_array_equal(counts, [0, 3, 3, 0, 2, 2, 0, 0])
+        phat = np.array([[0, 0.4, 0.3, 0, 0.2, 0.1, 0, 0]])
+        t, delta = budget_sample_grid(phat > 0, phat, 10, np.zeros(1), np.ones(1),
+                                      rng.random((1, 10)))
+        np.testing.assert_array_equal(_bin_counts(t[0], 8), [0, 3, 3, 0, 2, 2, 0, 0])
 
     def test_one_sample_per_stratum_when_equal(self, rng):
-        q = RobustPdf(support=np.array([0, 3, 7]), z=8)
-        phat = np.zeros(8)
-        phat[[0, 3, 7]] = 1 / 3
-        t, _ = stratified_budget_sample(q, phat, 3, self.bins(), rng)
-        counts = np.histogram(t, bins=self.bins().edges())[0]
-        np.testing.assert_array_equal(counts, [1, 0, 0, 1, 0, 0, 0, 1])
+        phat = np.zeros((1, 8))
+        phat[0, [0, 3, 7]] = 1 / 3
+        t, _ = budget_sample_grid(phat > 0, phat, 3, np.zeros(1), np.ones(1),
+                                  rng.random((1, 3)))
+        np.testing.assert_array_equal(_bin_counts(t[0], 8), [1, 0, 0, 1, 0, 0, 0, 1])
 
-    def test_under_budget_takes_top_phat_bins(self, rng):
-        q = RobustPdf(support=np.array([1, 2, 5, 6]), z=8)
-        phat = np.array([0, 0.1, 0.5, 0, 0, 0.3, 0.1, 0])
-        t, _ = stratified_budget_sample(q, phat, 2, self.bins(), rng)
-        counts = np.histogram(t, bins=self.bins().edges())[0]
-        np.testing.assert_array_equal(counts, [0, 0, 1, 0, 0, 1, 0, 0])
+    def test_under_budget_thins_support_evenly(self, rng):
+        # s < c keeps s evenly spaced support bins, whatever their phat, and
+        # draws one sample in each
+        z = 64
+        phat = np.zeros((1, z))
+        phat[0, [1, 2, 5, 6]] = [0.1, 0.5, 0.3, 0.1]
+        t, _ = budget_sample_grid(phat > 0, phat, 2, np.zeros(1), np.ones(1),
+                                  rng.random((1, 2)))
+        counts = _bin_counts(t[0], z)
+        assert np.flatnonzero(counts).tolist() == [1, 6] and counts.max() == 1
+
+        # 10 support bins at s=4 keep 20, 23, 26, 29; a row with s >= c in
+        # the same batch is sampled as it would be alone
+        support = np.zeros((2, z), dtype=bool)
+        support[0, 20:30] = True
+        support[1, [3, 9]] = True
+        phat = normalize_pdf(support * rng.random((2, z)))
+        xi = rng.random((2, 4))
+        t, delta = budget_sample_grid(support, phat, 4, np.zeros(2), np.ones(2), xi)
+        counts = _bin_counts(t[0], z)
+        assert np.flatnonzero(counts).tolist() == [20, 23, 26, 29] and counts.max() == 1
+        alone = budget_sample_grid(support[1:], phat[1:], 4, np.zeros(1), np.ones(1),
+                                   xi[1:])
+        np.testing.assert_array_equal(t[1], alone[0][0])
+        np.testing.assert_array_equal(delta[1], alone[1][0])
 
     def test_bimodal_support_covers_both_modes(self):
         # two disjoint runs; s >= c means every stratum gets >= 1 sample
@@ -229,32 +241,38 @@ class TestBudgetSampling:
         assert set(b.tolist()) <= {2, 3, 9, 10, 11}
 
     def test_budget_validation(self, rng):
-        q = RobustPdf(support=np.array([0]), z=4)
+        support = np.zeros((1, 4), dtype=bool)
+        support[0, 0] = True
         with pytest.raises(ValueError):
-            stratified_budget_sample(q, np.ones(4) / 4, 0, RayBins(0, 1, 4), rng)
+            budget_sample_grid(support, np.ones((1, 4)) / 4, 0, np.zeros(1), np.ones(1),
+                               rng.random((1, 0)))
         with pytest.raises(ValueError):
-            RobustPdf(support=np.array([]), z=4)
+            budget_sample_grid(np.zeros((1, 4), dtype=bool), np.ones((1, 4)) / 4, 2,
+                               np.zeros(1), np.ones(1), rng.random((1, 2)))
 
 
 class TestAdaptiveScore:
     def test_concentrated_pdf_scores_zero(self):
         p = np.zeros(192)
         p[50:60] = 0.1
-        assert adaptive_score(p, k=16) == 0.0
+        assert adaptive_score_grid(p[None], k=16)[0] == 0.0
 
     def test_uniform_score(self):
         p = np.full(192, 1 / 192)
-        assert adaptive_score(p, k=16) == pytest.approx(1 - 16 / 192, abs=1e-12)
+        assert adaptive_score_grid(p[None], k=16)[0] == pytest.approx(1 - 16 / 192,
+                                                                      abs=1e-12)
 
     def test_k_must_be_smaller_than_z(self):
         with pytest.raises(ValueError):
-            adaptive_score(np.full(8, 1 / 8), k=8)
+            adaptive_score_grid(np.full((1, 8), 1 / 8), k=8)
 
     def test_grid_matches_single(self, rng):
+        # each row of a batch scores as it would alone
         p = normalize_pdf(rng.random((20, 48)))
         grid = adaptive_score_grid(p, k=5)
         for i in range(20):
-            assert grid[i] == pytest.approx(adaptive_score(p[i], k=5), abs=1e-12)
+            assert grid[i] == pytest.approx(adaptive_score_grid(p[i:i + 1], k=5)[0],
+                                            abs=1e-12)
 
 
 class TestAllocateBudgets:
