@@ -12,8 +12,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from volsampler.geometry import default_camera
 from volsampler.regularizers import RegularizerConfig, surface_loss
 from volsampler.render import render_uniform
@@ -33,8 +31,7 @@ def main():
                             b_target_steps=args.steps)
 
     def loss_at(theta, target):
-        scene = make_scene("sphere")
-        scene._beta = lambda p: np.full(p.shape[:-1], float(beta_activation(theta)))
+        scene = make_scene("sphere", beta=float(beta_activation(theta)))
         out = render_uniform(scene, cam, 128, mode="midpoint")
         return surface_loss(out.beta_image, target)
 

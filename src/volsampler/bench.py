@@ -27,14 +27,14 @@ from .geometry import Camera
 from .metrics import psnr, worst_percentile_psnr
 from .proposal import (UPSCALE, CheckpointError, ProposalNet, TrainConfig,
                        blur_bins, load_checkpoint, probe_camera)
-from .render import (PixelSamples, ProbeOutput, RenderOutput, camera_geometry,
-                     render_full, render_probe, render_reference,
-                     render_uniform)
+from .render import (PixelSamples, ProbeOutput, RenderOutput, bin_midpoints,
+                     camera_geometry, render_full, render_probe,
+                     render_reference, render_uniform)
 from .sampling import (SampleBudget, adaptive_score_grid, allocate_budgets,
                        block_uniforms, budget_sample_grid, derive_seed,
-                       inverse_cdf_sample_grid, normalize_pdf,
-                       nucleus_support_grid, stratified_u_block,
-                       upsample_nearest)
+                       interval_deltas, inverse_cdf_sample_grid,
+                       normalize_pdf, nucleus_support_grid,
+                       stratified_u_block)
 from .scenes import BETA_MAX, BETA_MIN, SceneOracle, make_scene
 
 METHODS = ("uniform-dense", "unstratified", "stratified", "robust")
@@ -59,11 +59,13 @@ class ProposalField:
     t_far: np.ndarray
     z: int
 
-    def parent_rows(self, height: int, width: int) -> np.ndarray:
-        """Full-res pixel -> flattened probe pixel index (nearest neighbor)."""
-        rows = (np.arange(height) // UPSCALE)[:, None] * (width // UPSCALE)
-        cols = (np.arange(width) // UPSCALE)[None, :]
-        return (rows + cols).ravel()
+
+def parent_rows(height: int, width: int) -> np.ndarray:
+    """Flattened probe pixel index (nearest parent) of every flattened pixel
+    of a height x width image: the probe pixel it lies in, UPSCALE per side."""
+    rows = (np.arange(height) // UPSCALE)[:, None] * (width // UPSCALE)
+    cols = (np.arange(width) // UPSCALE)[None, :]
+    return (rows + cols).ravel()
 
 
 def _require(ok: bool, message: str) -> None:
@@ -92,7 +94,6 @@ class Pipeline:
     scene: SceneOracle
     camera: Camera
     z_bins: int
-    probe_mode: str
     reference_spp: int
     tau: float
     score_bins: int
@@ -140,9 +141,6 @@ class Pipeline:
 
         z_bins = cfg.get_int("render.z_bins")
         _require(z_bins >= 2, "render.z_bins must be >= 2")
-        probe_mode = cfg.get("render.probe_mode")
-        _require(probe_mode in ("midpoint", "stratified"),
-                 "render.probe_mode must be midpoint or stratified")
         reference_spp = cfg.get_int("render.reference_spp")
         _require(reference_spp >= 2, "render.reference_spp must be >= 2")
         tau = cfg.get_float("sampler.tau")
@@ -167,7 +165,7 @@ class Pipeline:
                                blur_sigma=cfg.get_float("train.blur_sigma"),
                                blur_radius=cfg.get_int("train.blur_radius"),
                                suppress_eps=cfg.get_float("train.suppress_eps"),
-                               z_bins=z_bins, probe_mode=probe_mode)
+                               z_bins=z_bins)
         _require(training.steps >= 1, "train.steps must be >= 1")
         _require(0.0 < training.lr < math.inf, "train.lr must be positive")
         _require(0.0 <= training.lr_end_factor <= 1.0, "train.lr_end_factor must be in [0, 1]")
@@ -186,7 +184,7 @@ class Pipeline:
         _require(all(s >= 1 for s in spp_list), "bench.spp values must be >= 1")
         trials = cfg.get_int("bench.trials")
         _require(trials >= 1, "bench.trials must be >= 1")
-        return cls(scene=scene, camera=camera, z_bins=z_bins, probe_mode=probe_mode,
+        return cls(scene=scene, camera=camera, z_bins=z_bins,
                    reference_spp=reference_spp, tau=tau, score_bins=score_bins,
                    budget=budget,
                    merge_probe=cfg.get_bool("sampler.merge_probe_samples"),
@@ -262,7 +260,7 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
     if pipe.proposal_source == "checkpoint" and net is None:
         net = _load_net(pipe)
     probe = render_probe(pipe.scene, probe_camera(pipe.camera), z,
-                         mode=pipe.probe_mode, seed=pipe.seed, workers=pipe.workers)
+                         workers=pipe.workers)
     _, _, t_near, t_far = camera_geometry(pipe.camera)
 
     if pipe.proposal_source == "probe-lift":
@@ -270,13 +268,13 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
         # ray's distribution, blurred along bins to hedge the parallax between
         # parent and child rays. Imperfect at depth edges by construction; the
         # trained checkpoint source is the full-quality path.
-        lifted = upsample_nearest(probe.weights, UPSCALE)
+        parents = parent_rows(pipe.camera.height, pipe.camera.width)
+        lifted = probe.weights.reshape(z, -1)[:, parents]
         if pipe.lift_blur_sigma > 0.0:
             lifted = blur_bins(lifted, pipe.lift_blur_sigma)
-        pdf = normalize_pdf(lifted.reshape(z, -1).T)
+        pdf = normalize_pdf(lifted.T)
     elif pipe.proposal_source == "oracle-full":
-        dense = render_probe(pipe.scene, pipe.camera, z, mode=pipe.probe_mode,
-                             seed=pipe.seed, workers=pipe.workers)
+        dense = render_probe(pipe.scene, pipe.camera, z, workers=pipe.workers)
         pdf = normalize_pdf(dense.weights.reshape(z, -1).T)
     elif pipe.proposal_source == "checkpoint":
         pdf = net.predict(probe).reshape(z, -1).T.copy()
@@ -331,12 +329,9 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     fallback = _fallback_rows(prop.pdf)
     width_bins = (prop.t_far - prop.t_near) / z
 
-    parents = prop.parent_rows(height, width) if merge_probe else None
-    probe_tn = probe_tf = None
-    lift_bins = None
     if merge_probe:
-        probe_tn = prop.probe.t_near.ravel()
-        probe_tf = prop.probe.t_far.ravel()
+        parents = parent_rows(height, width)
+        probe_t = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(), z)
         lift_bins = _probe_lift_bins(prop.probe)
 
     groups = []
@@ -347,10 +342,9 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
             t, delta = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
                                           prop.t_near[rows], prop.t_far[rows], xi)
             if merge_probe:
-                t, delta = _merge_probe_lift(t, lift_bins[parents[rows]],
-                                             parents[rows], probe_tn, probe_tf,
-                                             prop.t_near[rows], prop.t_far[rows],
-                                             width_bins[rows], z)
+                t, delta = _merge_probe_lift(t, probe_t, lift_bins[parents[rows]],
+                                             parents[rows], prop.t_near[rows],
+                                             prop.t_far[rows], width_bins[rows])
             groups.append((rows, t, delta))
         rows_bg = np.flatnonzero((spp_map == s) & fallback)
         if rows_bg.size:
@@ -406,22 +400,18 @@ def _probe_lift_bins(probe: ProbeOutput, k: int = LIFT_BINS,
     return out
 
 
-def _merge_probe_lift(t, bin_idx, par, probe_tn, probe_tf,
-                      t_near, t_far, width_bins, z):
-    """Append the parent probe ray's coarse sample positions at the given bins
-    to each pixel's sample set; deltas re-derived and clipped."""
-    p_tn = probe_tn[par][:, None]
-    p_w = ((probe_tf - probe_tn)[par] / z)[:, None]
-    t_lift = p_tn + (bin_idx + 0.5) * p_w
+def _merge_probe_lift(t, probe_t, bin_idx, par, t_near, t_far, width_bins):
+    """Append the parent probe ray's samples (probe_t, the probe's
+    bin_midpoints per probe pixel) at the given bins to each pixel's sample
+    set, an unused slot (bin index z) at t_far; deltas re-derived and
+    clipped."""
+    z = probe_t.shape[1]
+    t_lift = probe_t[par[:, None], np.minimum(bin_idx, z - 1)]
     t_lift = np.where(bin_idx == z, t_far[:, None], t_lift)
     t_lift = np.clip(t_lift, t_near[:, None], t_far[:, None])
 
     t_all = np.sort(np.concatenate([t, t_lift], axis=1), axis=1)
-    delta = np.empty_like(t_all)
-    delta[:, :-1] = t_all[:, 1:] - t_all[:, :-1]
-    delta[:, -1] = t_far - t_all[:, -1]
-    delta = np.minimum(delta, width_bins[:, None])
-    return t_all, delta
+    return t_all, np.minimum(interval_deltas(t_all, t_far), width_bins[:, None])
 
 
 def coverage_mask(prop: ProposalField, height: int, width: int,
@@ -432,9 +422,8 @@ def coverage_mask(prop: ProposalField, height: int, width: int,
     supervised, so they must not absorb the boosted-budget ranking; the
     uncertain pixels that deserve the boost share a parent with real signal.
     """
-    acc = prop.probe.weights.sum(axis=0)
-    lifted = upsample_nearest(acc[None], UPSCALE)[0]
-    return (lifted > threshold).reshape(height * width)
+    acc = prop.probe.weights.sum(axis=0).ravel()
+    return acc[parent_rows(height, width)] > threshold
 
 
 def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField

@@ -29,7 +29,6 @@ DEFAULTS: dict[str, str] = {
     "camera.width": "128",
     # render
     "render.z_bins": "192",
-    "render.probe_mode": "midpoint",
     "render.reference_spp": "384",
     # sampler
     "sampler.tau": "0.98",

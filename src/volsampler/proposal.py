@@ -20,7 +20,8 @@ from .geometry import Camera
 from .nn import (AdamState, Param, adam_step, conv2d_backward, conv2d_forward,
                  he_init, relu_backward, relu_forward, softmax_ce,
                  softmax_channels, upsample_backward, upsample_forward)
-from .render import ProbeOutput, render_probe
+from .render import (ProbeOutput, bin_midpoints, camera_geometry,
+                     integrate_batch, render_probe)
 from .scenes import SceneOracle
 
 UPSCALE = 4  # two 2x bilinear stages
@@ -217,7 +218,6 @@ class TrainConfig:
     blur_radius: int = 3
     suppress_eps: float = 5e-3
     z_bins: int = 192
-    probe_mode: str = "midpoint"
 
     def lr_at(self, step: int) -> float:
         if self.steps <= 1:
@@ -249,15 +249,13 @@ def patch_pixels(row: int, col: int, patch: int, height: int, width: int):
 def render_gt_patch(scene: SceneOracle, camera_full: Camera, row: int, col: int,
                     patch: int, z_bins: int, workers: int = 1):
     """Ground-truth dense weight patch (Z, patch, patch) at full resolution,
-    wrapping around the image edges (see patch_pixels)."""
-    from .render import camera_geometry, integrate_batch
-
+    wrapping around the image edges (see patch_pixels), sampled at the
+    probe's bin midpoints."""
     o, d, t_near, t_far = camera_geometry(camera_full)
     h, w = camera_full.height, camera_full.width
     r, c = patch_pixels(row, col, patch, h, w)
     rows = (r[:, None] * w + c[None, :]).ravel()
-    frac = (np.arange(z_bins) + 0.5) / z_bins
-    t = t_near[rows][:, None] + frac[None, :] * (t_far - t_near)[rows][:, None]
+    t = bin_midpoints(t_near[rows], t_far[rows], z_bins)
     out = integrate_batch(scene, o[rows], d[rows], t, t_far[rows], validate=False)
     return out["weights"].reshape(patch, patch, z_bins).transpose(2, 0, 1)
 
@@ -314,12 +312,9 @@ def backward_patch(net: ProposalNet, windows, d_patch: np.ndarray) -> None:
 
 def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
                camera_full: Camera, rng: np.random.Generator,
-               cfg: TrainConfig, probe: ProbeOutput | None = None,
-               workers: int = 1) -> float:
-    """One supervised step: probe, random ground-truth patch, CE loss, Adam.
-
-    The probe can be passed in when the scene and camera are fixed across
-    steps (it is deterministic in midpoint mode).
+               cfg: TrainConfig, probe: ProbeOutput, workers: int = 1) -> float:
+    """One supervised step: random ground-truth patch, CE loss, Adam. probe
+    is the scene's probe at probe_camera(camera_full).
 
     Only the patch carries loss, so the net runs on probe windows, not on the
     whole probe: each window is the patch's parent probe pixels plus a HALO
@@ -336,9 +331,6 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
         raise ValueError("full resolution must be a multiple of the upscale factor")
     if cfg.patch > min(camera_full.height, camera_full.width):
         raise ValueError("patch must fit inside the full-resolution image")
-    if probe is None:
-        probe = render_probe(scene, probe_camera(camera_full), cfg.z_bins,
-                             mode=cfg.probe_mode, workers=workers)
 
     h, w = camera_full.height, camera_full.width
     # origins are uniform over the whole image and patches wrap around its
@@ -363,32 +355,21 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
 
 def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
           cfg: TrainConfig, seed: int = 0, workers: int = 1,
-          log_every: int = 0, scene_factory=None) -> list[float]:
+          log_every: int = 0) -> list[float]:
     """Run cfg.steps supervised steps; returns the per-step loss history.
 
-    scene_factory(rng) draws a fresh scene each step (a randomized-parameter
-    family) for cross-scene generalization; otherwise the fixed scene's
-    deterministic probe is rendered once and reused.
+    The probe is deterministic, so it is rendered once and every step reuses
+    it.
     """
     rng = np.random.default_rng(seed)
     opt = AdamState(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
-    probe_cam = probe_camera(camera_full)
+    probe = render_probe(scene, probe_camera(camera_full), cfg.z_bins,
+                         workers=workers)
     losses = []
-    probe = None
-    if cfg.probe_mode == "midpoint" and scene_factory is None:
-        probe = render_probe(scene, probe_cam, cfg.z_bins, mode="midpoint",
-                             workers=workers)
     for step in range(cfg.steps):
-        scene_step = scene_factory(rng) if scene_factory is not None else scene
-        if probe is None:
-            probe_step = render_probe(scene_step, probe_cam, cfg.z_bins,
-                                      mode=cfg.probe_mode, seed=seed + step,
-                                      workers=workers)
-        else:
-            probe_step = probe
         opt.lr = cfg.lr_at(step)
-        loss = train_step(net, opt, scene_step, camera_full, rng, cfg,
-                          probe=probe_step, workers=workers)
+        loss = train_step(net, opt, scene, camera_full, rng, cfg,
+                          probe=probe, workers=workers)
         losses.append(loss)
         if log_every and (step + 1) % log_every == 0:
             recent = np.mean(losses[-log_every:])

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Camera, clip_to_box
-from .sampling import inverse_cdf_sample_edges, stratified_u_block
+from .sampling import (interval_deltas, inverse_cdf_sample_edges,
+                       stratified_u_block)
 from .scenes import SceneOracle, laplace_density
 
 _CHUNK_POINTS = 1 << 19
@@ -36,14 +37,14 @@ class RenderOutput:
 
 @dataclass
 class ProbeOutput:
-    """Low-resolution probe: image, weight grid, SDF grid, and ray geometry."""
+    """Low-resolution probe: image, weight grid, SDF grid, ray intervals and
+    directions. Sample j of a probe ray lies at its bin_midpoints."""
 
     image: np.ndarray    # (H, W, 3)
     weights: np.ndarray  # (Z, H, W)
     sdf: np.ndarray      # (Z, H, W)
     t_near: np.ndarray   # (H, W)
     t_far: np.ndarray    # (H, W)
-    origins: np.ndarray  # (H, W, 3)
     dirs: np.ndarray     # (H, W, 3)
 
     @property
@@ -108,10 +109,7 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
     rgb_samples = rgb_samples.reshape(n, k, 3)
 
     if deltas is None:
-        deltas = np.empty_like(t)
-        deltas[:, :-1] = t[:, 1:] - t[:, :-1]
-        deltas[:, -1] = t_far - t[:, -1]
-        deltas = np.maximum(deltas, 0.0)
+        deltas = np.maximum(interval_deltas(t, t_far), 0.0)
     elif validate and np.any(deltas < 0.0):
         raise ValueError("deltas must be nonnegative")
 
@@ -142,22 +140,20 @@ def camera_geometry(camera: Camera):
             t_near.reshape(n), t_far.reshape(n))
 
 
-def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
-                 mode: str = "midpoint", seed: int = 0, workers: int = 1) -> ProbeOutput:
-    """Dense low-resolution probe: one sample per depth bin for every pixel.
+def bin_midpoints(t_near: np.ndarray, t_far: np.ndarray, z: int) -> np.ndarray:
+    """Centers (N, z) of z equal-width depth bins over each [t_near, t_far]
+    (N,): where the probe, and every dense weight grid compared with it,
+    samples a ray."""
+    return t_near[:, None] + ((np.arange(z) + 0.5) / z) * (t_far - t_near)[:, None]
 
-    mode "midpoint" (default) probes deterministically at bin centers;
-    "stratified" jitters within bins for variance studies.
-    """
-    if mode not in ("midpoint", "stratified"):
-        raise ValueError(f"unknown probe mode {mode!r}")
+
+def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
+                 workers: int = 1) -> ProbeOutput:
+    """Dense low-resolution probe: one sample per depth bin for every pixel,
+    deterministically at the bin midpoints."""
     o, d, t_near, t_far = camera_geometry(camera)
     n = o.shape[0]
-    if mode == "midpoint":
-        frac = np.broadcast_to((np.arange(z_bins) + 0.5) / z_bins, (n, z_bins))
-    else:
-        frac = stratified_u_block(n, z_bins, seed, stream=101)
-    t = t_near[:, None] + frac * (t_far - t_near)[:, None]
+    t = bin_midpoints(t_near, t_far, z_bins)
 
     image = np.empty((n, 3))
     weights = np.empty((n, z_bins))
@@ -176,7 +172,7 @@ def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
                        weights=weights.reshape(h, w, z_bins).transpose(2, 0, 1),
                        sdf=sdf.reshape(h, w, z_bins).transpose(2, 0, 1),
                        t_near=t_near.reshape(h, w), t_far=t_far.reshape(h, w),
-                       origins=o.reshape(h, w, 3), dirs=d.reshape(h, w, 3))
+                       dirs=d.reshape(h, w, 3))
 
 
 def render_full(scene: SceneOracle, camera: Camera, samples: PixelSamples,
@@ -215,15 +211,14 @@ def render_uniform(scene: SceneOracle, camera: Camera, spp: int,
                    mode: str = "stratified", seed: int = 0,
                    workers: int = 1) -> RenderOutput:
     """Uniform-dense baseline: spp samples per pixel over [t_near, t_far]."""
-    o, d, t_near, t_far = camera_geometry(camera)
-    n = o.shape[0]
+    o, _, t_near, t_far = camera_geometry(camera)
     if mode == "midpoint":
-        frac = np.broadcast_to((np.arange(spp) + 0.5) / spp, (n, spp)).copy()
+        t = bin_midpoints(t_near, t_far, spp)
     elif mode == "stratified":
-        frac = stratified_u_block(n, spp, seed, stream=102)
+        frac = stratified_u_block(o.shape[0], spp, seed, stream=102)
+        t = t_near[:, None] + frac * (t_far - t_near)[:, None]
     else:
         raise ValueError(f"unknown uniform mode {mode!r}")
-    t = t_near[:, None] + frac * (t_far - t_near)[:, None]
     h, w = camera.height, camera.width
     return render_full(scene, camera, PixelSamples.dense(t.reshape(h, w, spp)),
                        workers=workers)

@@ -120,6 +120,21 @@ def inverse_cdf_sample_edges(probs: np.ndarray, edges: np.ndarray,
     return np.sort(t, axis=1)
 
 
+def top_k_mask(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Boolean masks (N, Z) of the k[i] largest keys of each row, ties towards
+    lower index: the bins ranked below k[i] by a stable descending sort.
+
+    The k-th largest key is a threshold; every key above it is kept, and of
+    the keys equal to it only the first ones, up to the room left.
+    """
+    n, z = keys.shape
+    thr = np.sort(keys, axis=1)[np.arange(n), np.clip(z - k, 0, z - 1)][:, None]
+    above = keys > thr
+    tie = keys == thr
+    room = k - above.sum(axis=1)
+    return above | (tie & (np.cumsum(tie, axis=1) <= room[:, None]))
+
+
 def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
     """Boolean support masks (N, Z) of the nucleus filter applied per row: the
     minimal set of highest-probability bins with cumulative mass >= tau, bins
@@ -127,18 +142,14 @@ def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0, 1]")
     p = np.asarray(probs, dtype=np.float64)
-    n, z = p.shape
-    order = np.argsort(-p, axis=1, kind="stable")
-    sorted_p = np.take_along_axis(p, order, axis=1)
-    cum = np.cumsum(sorted_p, axis=1)
+    z = p.shape[1]
+    cum = np.cumsum(np.sort(p, axis=1)[:, ::-1], axis=1)
     total = np.maximum(cum[:, -1:], 1e-300)
     # smallest k with cum[k-1] >= tau (within float slack); all-zero rows keep 1 bin
     reached = cum >= tau * total - 1e-12
     k = np.argmax(reached, axis=1) + 1
     k = np.where(reached.any(axis=1), k, z)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(z), (n, z)).copy(), axis=1)
-    return rank < k[:, None]
+    return top_k_mask(p, k)
 
 
 def _thin_support(support: np.ndarray, s: int) -> np.ndarray:
@@ -156,18 +167,22 @@ def _budget_allocation(support: np.ndarray, phat: np.ndarray, s: int) -> np.ndar
     """Per-bin sample counts (N, Z) for supports of at most s bins: floor(s/c)
     per support bin, extras to the largest-phat support bins, ties towards
     lower index."""
-    n, z = support.shape
     c = support.sum(axis=1)
     if np.any(c == 0):
         raise ValueError("empty robust support")
     base = s // c
-    rem = s % c
+    extra = top_k_mask(np.where(support, phat, -np.inf), s % c)
+    return support * base[:, None] + (extra & support)
 
-    key = np.where(support, phat, -np.inf)
-    order = np.argsort(-key, axis=1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.broadcast_to(np.arange(z), (n, z)).copy(), axis=1)
-    return support * base[:, None] + ((rank < rem[:, None]) & support)
+
+def interval_deltas(t: np.ndarray, t_far: np.ndarray) -> np.ndarray:
+    """Quadrature deltas of sorted samples t (N, K): each sample's gap to the
+    next one, and the last sample's gap to t_far (N,). Unclipped: callers
+    clip to their own rule."""
+    delta = np.empty_like(t)
+    delta[:, :-1] = t[:, 1:] - t[:, :-1]
+    delta[:, -1] = t_far - t[:, -1]
+    return delta
 
 
 def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
@@ -207,11 +222,7 @@ def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
     width = (t_far - t_near)[:, None] / z
     t = t_near[:, None] + (bin_idx + (j + xi) / m) * width
 
-    delta = np.empty_like(t)
-    delta[:, :-1] = t[:, 1:] - t[:, :-1]
-    delta[:, -1] = t_far - t[:, -1]
-    delta = np.minimum(delta, width)
-    return t, delta
+    return t, np.minimum(interval_deltas(t, t_far), width)
 
 
 def adaptive_score_grid(probs: np.ndarray, k: int = 16) -> np.ndarray:
@@ -237,8 +248,3 @@ def allocate_budgets(scores: np.ndarray, budget: SampleBudget) -> np.ndarray:
         order = np.argsort(-flat, kind="stable")
         spp[order[:n_boost]] = budget.boosted_spp
     return spp.reshape(scores.shape)
-
-
-def upsample_nearest(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Nearest-neighbor lift of a (..., h, w) grid to (..., h*f, w*f)."""
-    return np.repeat(np.repeat(grid, factor, axis=-2), factor, axis=-1)

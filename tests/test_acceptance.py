@@ -352,10 +352,7 @@ def test_c9_regularizer_behavior():
         theta = 0.5
 
         def scene_at(th):
-            sc = make_scene("sphere")
-            sc._beta = lambda p, th=th: np.full(p.shape[:-1],
-                                                float(beta_activation(th)))
-            return sc
+            return make_scene("sphere", beta=float(beta_activation(th)))
 
         def loss_at(th):
             out = render_uniform(scene_at(th), cam, 128, mode="midpoint")

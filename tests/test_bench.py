@@ -6,11 +6,11 @@ import pytest
 
 from conftest import small_camera
 from volsampler.bench import (CSV_HEADER, MetricRow, Pipeline, method_samples,
-                              parse_csv, prepare_proposals, robust_samples,
-                              rows_to_csv, run_bench)
+                              parent_rows, parse_csv, prepare_proposals,
+                              robust_samples, rows_to_csv, run_bench)
 from volsampler.config import Config
 from volsampler.metrics import psnr
-from volsampler.render import render_full, render_uniform
+from volsampler.render import bin_midpoints, render_full, render_uniform
 from volsampler.sampling import adaptive_score_grid
 from volsampler.scenes import make_scene
 
@@ -179,6 +179,35 @@ class TestProposalsAndMethods:
         n_plain = max(t.shape[1] for _, t, _ in plain.groups)
         n_merged = max(t.shape[1] for _, t, _ in merged.groups)
         assert n_merged > n_plain
+
+    def test_merge_lifts_parent_probe_midpoints(self):
+        # every sample the merge adds is one of its parent probe ray's
+        # bin_midpoints (clipped to the pixel's own interval), or t_far for
+        # an unused slot
+        sc = make_scene("two-spheres", beta=0.004)
+        cam = small_camera(16)
+        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
+        spp_map = np.full(256, 6, dtype=np.int64)
+        plain = robust_samples(prop, spp_map, 4, height=16, width=16)
+        merged = robust_samples(prop, spp_map, 4, height=16, width=16,
+                                merge_probe=True)
+        own = {int(r): t for rows, t, _ in plain.groups for r, t in zip(rows, t)}
+        mids = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(),
+                             prop.z)
+        parents = parent_rows(16, 16)
+        lifted = 0
+        for rows, t, _ in merged.groups:
+            if t.shape[1] == 6:
+                continue  # background rows merge nothing
+            for r, row_t in zip(rows, t):
+                added = list(row_t)
+                for v in own[int(r)]:
+                    added.remove(v)
+                tn, tf = prop.t_near[r], prop.t_far[r]
+                allowed = np.append(np.clip(mids[parents[r]], tn, tf), tf)
+                assert np.all(np.isin(added, allowed)), r
+                lifted += len(added)
+        assert lifted > 0
 
 
 class TestAdaptivePipeline:

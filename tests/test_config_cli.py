@@ -210,8 +210,7 @@ train.patch = 8
                 "bench.methods = robust\nbench.spp = 4\n")
         csv = {}
         for name, extra in [("default", ""),
-                            ("no-merge", "sampler.merge_probe_samples = false\n"),
-                            ("stratified-probe", "render.probe_mode = stratified\n")]:
+                            ("no-merge", "sampler.merge_probe_samples = false\n")]:
             cfg = tmp_path / f"{name}.cfg"
             cfg.write_text(base + extra)
             out = tmp_path / name
@@ -219,7 +218,6 @@ train.patch = 8
                          str(cfg), "--out-dir", str(out)]) == 0
             csv[name] = (out / "bench.csv").read_text()
         assert csv["no-merge"] != csv["default"]
-        assert csv["stratified-probe"] != csv["default"]
 
     def test_bad_fallback_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -236,7 +234,7 @@ BAD_INPUTS = [
     ("render", "sampler.score_bins = 48"),  # = render.z_bins
     ("render", "sampler.base_spp = 0"),
     ("render", "render.probe_factor = 0"),
-    ("render", "render.probe_mode = foo"),
+    ("render", "render.probe_mode = foo"),  # removed: the probe samples bin midpoints only
     ("render", "scene.name = cube"),
     ("render", "camera.fov = 4"),
     ("bench", "render.reference_spp = 0"),

@@ -6,9 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import ray_sphere_hit, small_camera, vacuum_scene
 from volsampler.metrics import psnr
-from volsampler.render import (PixelSamples, _quadrature_weights, camera_geometry,
-                               integrate_batch, render_full, render_probe,
-                               render_reference, render_uniform)
+from volsampler.render import (PixelSamples, _quadrature_weights, bin_midpoints,
+                               camera_geometry, integrate_batch, render_full,
+                               render_probe, render_reference, render_uniform)
 from volsampler.sampling import inverse_cdf_sample_grid, normalize_pdf
 from volsampler.scenes import SCENE_NAMES, make_scene
 
@@ -122,9 +122,18 @@ class TestRenderProbe:
         # center ray passes through the sphere: some samples must be inside
         assert probe.sdf[:, 4, 4].min() < 0.0
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            render_probe(make_scene("sphere"), small_camera(4), 16, mode="banana")
+    def test_samples_at_bin_midpoints(self):
+        sc = make_scene("sphere")
+        cam = small_camera(8)
+        probe = render_probe(sc, cam, z_bins=32)
+        o, d, t_near, t_far = camera_geometry(cam)
+        t = bin_midpoints(t_near, t_far, 32)
+        np.testing.assert_allclose(t[:, 0] + t[:, -1], t_near + t_far, rtol=1e-15)
+        width = ((t_far - t_near) / 32)[:, None]
+        np.testing.assert_allclose(np.diff(t, axis=1) - width, 0.0, atol=1e-14)
+        p = o[:, None, :] + t[:, :, None] * d[:, None, :]
+        sdf = sc.sdf(p.reshape(-1, 3)).reshape(8, 8, 32).transpose(2, 0, 1)
+        assert np.array_equal(probe.sdf, sdf)
 
 
 class TestRenderFull:

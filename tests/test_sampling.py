@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from volsampler.sampling import (SampleBudget, adaptive_score_grid,
                                  allocate_budgets, block_uniforms,
                                  budget_sample_grid, derive_seed,
-                                 inverse_cdf_sample_edges,
+                                 interval_deltas, inverse_cdf_sample_edges,
                                  inverse_cdf_sample_grid, normalize_pdf,
                                  nucleus_support_grid, stratified_u_block,
-                                 upsample_nearest)
+                                 top_k_mask)
 
 
 def brute_force_min_nucleus(probs, tau):
@@ -168,6 +168,34 @@ class TestNucleusFilter:
         assert np.flatnonzero(mask).tolist() == [0, 1]
 
 
+def _stable_rank_mask(keys, k):
+    """The definition top_k_mask implements: rank in a stable descending
+    argsort below k."""
+    order = np.argsort(-keys, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.broadcast_to(np.arange(keys.shape[1]),
+                                                   keys.shape).copy(), axis=1)
+    return rank < np.asarray(k)[:, None]
+
+
+class TestTopK:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_stable_argsort_rank(self, seed):
+        rng = np.random.default_rng(seed)
+        n, z = 64, int(rng.integers(1, 40))
+        # few distinct values give many ties; -inf keys mark excluded bins
+        keys = rng.integers(0, int(rng.integers(1, 5)), (n, z)).astype(np.float64)
+        keys[rng.random((n, z)) < 0.3] = -np.inf
+        if seed % 2:
+            keys += rng.random((n, z)) * (rng.random((n, z)) < 0.5)
+        keys[4] = -np.inf
+        k = rng.integers(0, z + 2, n)
+        k[:4] = 0
+        mask = top_k_mask(keys, k)
+        assert np.array_equal(mask, _stable_rank_mask(keys, k))
+        assert np.array_equal(mask.sum(axis=1), np.minimum(k, z))
+
+
 def _bin_counts(t, z):
     return np.histogram(t, bins=np.linspace(0.0, 1.0, z + 1))[0]
 
@@ -320,11 +348,10 @@ class TestHelpers:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
 
-    def test_upsample_nearest(self):
-        g = np.arange(4.0).reshape(1, 2, 2)
-        up = upsample_nearest(g, 2)
-        np.testing.assert_array_equal(up[0], [[0, 0, 1, 1], [0, 0, 1, 1],
-                                              [2, 2, 3, 3], [2, 2, 3, 3]])
+    def test_interval_deltas(self):
+        t = np.array([[0.1, 0.4, 0.5], [0.2, 0.2, 0.9]])
+        np.testing.assert_allclose(interval_deltas(t, np.array([1.0, 0.8])),
+                                   [[0.3, 0.1, 0.5], [0.0, 0.7, -0.1]])
 
     def test_normalize_pdf_keeps_zero_rows(self):
         p = normalize_pdf(np.array([[1.0, 3.0], [0.0, 0.0]]))
