@@ -41,6 +41,7 @@ METHODS = ("uniform-dense", "unstratified", "stratified", "robust")
 _METHOD_IDS = {m: i for i, m in enumerate(METHODS)}
 
 CSV_HEADER = "method,spp,trial,psnr,worst10,worst1,worst01,ms"
+LIFT_BLUR_SIGMA = 1.0  # probe-lift's Gaussian blur along depth, in bins
 
 
 class MissingCheckpointError(RuntimeError):
@@ -102,7 +103,6 @@ class Pipeline:
     proposal_source: str
     checkpoint: str
     hidden_channels: int
-    lift_blur_sigma: float
     training: TrainConfig
     methods: tuple
     spp_list: tuple
@@ -116,8 +116,7 @@ class Pipeline:
                     deterministic: bool = False) -> "Pipeline":
         """Every invalid value raises ConfigError."""
         scene = _build("scene", make_scene, name=cfg.get("scene.name"),
-                       **{k: cfg.get_opt_float(f"scene.{k}")
-                          for k in ("beta", "beta_band", "radius", "wall_z")})
+                       beta=cfg.get_opt_float("scene.beta"))
         camera = _build("camera", Camera, position=cfg.get_vec3("camera.position"),
                         look_at=cfg.get_vec3("camera.look_at"),
                         up=cfg.get_vec3("camera.up"),
@@ -128,13 +127,8 @@ class Pipeline:
                         base_spp=cfg.get_int("sampler.base_spp"),
                         boosted_spp=cfg.get_int("sampler.boosted_spp"),
                         boosted_fraction=cfg.get_float("sampler.boosted_fraction"))
-        sp = scene.params
-        _require(BETA_MIN <= sp["beta"] <= BETA_MAX,
+        _require(BETA_MIN <= scene.params["beta"] <= BETA_MAX,
                  f"scene.beta must be in [{BETA_MIN}, {BETA_MAX}]")
-        _require(0.0 <= sp["beta_band"] <= BETA_MAX,
-                 f"scene.beta_band must be in [0, {BETA_MAX}]")
-        _require(0.0 < sp["radius"] < math.inf, "scene.radius must be positive")
-        _require(math.isfinite(sp["wall_z"]), "scene.wall_z must be finite")
         _require(camera.height % UPSCALE == 0 and camera.width % UPSCALE == 0,
                  f"camera.height and camera.width must be multiples of {UPSCALE}"
                  f" (the probe renders at 1/{UPSCALE} of them)")
@@ -152,30 +146,13 @@ class Pipeline:
                  "proposal.source must be probe-lift, checkpoint or oracle-full")
         hidden = cfg.get_int("proposal.hidden_channels")
         _require(hidden >= 1, "proposal.hidden_channels must be >= 1")
-        lift_blur_sigma = cfg.get_float("proposal.lift_blur_sigma")
-        _require(0.0 <= lift_blur_sigma < math.inf,
-                 "proposal.lift_blur_sigma must be finite and >= 0")
 
         training = TrainConfig(steps=cfg.get_int("train.steps"),
                                lr=cfg.get_float("train.lr"),
-                               lr_end_factor=cfg.get_float("train.lr_end_factor"),
-                               adam_beta1=cfg.get_float("train.adam_beta1"),
-                               adam_beta2=cfg.get_float("train.adam_beta2"),
-                               patch=cfg.get_int("train.patch"),
-                               blur_sigma=cfg.get_float("train.blur_sigma"),
-                               blur_radius=cfg.get_int("train.blur_radius"),
-                               suppress_eps=cfg.get_float("train.suppress_eps"),
-                               z_bins=z_bins)
+                               patch=cfg.get_int("train.patch"), z_bins=z_bins)
         _require(training.steps >= 1, "train.steps must be >= 1")
         _require(0.0 < training.lr < math.inf, "train.lr must be positive")
-        _require(0.0 <= training.lr_end_factor <= 1.0, "train.lr_end_factor must be in [0, 1]")
-        _require(0.0 <= training.adam_beta1 < 1.0 and 0.0 <= training.adam_beta2 < 1.0,
-                 "train.adam_beta1 and train.adam_beta2 must be in [0, 1)")
         _require(training.patch >= 1, "train.patch must be >= 1")
-        _require(0.0 <= training.blur_sigma < math.inf, "train.blur_sigma must be finite and >= 0")
-        _require(training.blur_radius >= 0, "train.blur_radius must be >= 0")
-        _require(0.0 <= training.suppress_eps < math.inf,
-                 "train.suppress_eps must be finite and >= 0")
 
         methods = tuple(cfg.get_list("bench.methods"))
         for m in methods:
@@ -189,9 +166,8 @@ class Pipeline:
                    budget=budget,
                    merge_probe=cfg.get_bool("sampler.merge_probe_samples"),
                    proposal_source=source, checkpoint=cfg.get("proposal.checkpoint"),
-                   hidden_channels=hidden, lift_blur_sigma=lift_blur_sigma,
-                   training=training, methods=methods, spp_list=spp_list,
-                   trials=trials, seed=seed, workers=workers,
+                   hidden_channels=hidden, training=training, methods=methods,
+                   spp_list=spp_list, trials=trials, seed=seed, workers=workers,
                    deterministic=deterministic)
 
 
@@ -270,9 +246,7 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
         # trained checkpoint source is the full-quality path.
         parents = parent_rows(pipe.camera.height, pipe.camera.width)
         lifted = probe.weights.reshape(z, -1)[:, parents]
-        if pipe.lift_blur_sigma > 0.0:
-            lifted = blur_bins(lifted, pipe.lift_blur_sigma)
-        pdf = normalize_pdf(lifted.T)
+        pdf = normalize_pdf(blur_bins(lifted, LIFT_BLUR_SIGMA).T)
     elif pipe.proposal_source == "oracle-full":
         dense = render_probe(pipe.scene, pipe.camera, z, workers=pipe.workers)
         pdf = normalize_pdf(dense.weights.reshape(z, -1).T)
@@ -288,15 +262,10 @@ def _fallback_rows(pdf: np.ndarray) -> np.ndarray:
 
 
 def method_samples(method: str, prop: ProposalField, spp: int, seed: int,
-                   tau: float = 0.98, height: int = 0, width: int = 0,
-                   merge_probe: bool = True) -> PixelSamples:
+                   pipe: Pipeline) -> PixelSamples:
     """Per-pixel sample positions for one proposal-guided method at a flat
-    budget (uniform-dense needs no proposal: render.render_uniform).
-
-    The robust method always carries its probe share: the parent ray's coarse
-    samples at the surviving support bins join the integral (the spp count
-    covers the new samples, matching the probe's amortized-cost accounting).
-    """
+    budget (uniform-dense needs no proposal: render.render_uniform); the
+    robust method is robust_samples at spp everywhere."""
     n = prop.pdf.shape[0]
     stream = _METHOD_IDS[method] + 11
     if method in ("unstratified", "stratified"):
@@ -305,31 +274,31 @@ def method_samples(method: str, prop: ProposalField, spp: int, seed: int,
         else:
             u = stratified_u_block(n, spp, seed, stream)
         t = inverse_cdf_sample_grid(prop.pdf, prop.t_near, prop.t_far, u)
-        return PixelSamples(height, width, [(np.arange(n), t, None)])
+        return PixelSamples(pipe.camera.height, pipe.camera.width,
+                            [(np.arange(n), t, None)])
 
     if method == "robust":
-        spp_map = np.full(n, spp, dtype=np.int64)
-        return robust_samples(prop, spp_map, seed, tau, height, width,
-                              merge_probe=merge_probe)
+        return robust_samples(prop, np.full(n, spp, dtype=np.int64), seed, pipe)
     raise ConfigError(f"unknown sampling method {method!r}")
 
 
 def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
-                   tau: float = 0.98, height: int = 0, width: int = 0,
-                   merge_probe: bool = False) -> PixelSamples:
-    """Nucleus-filtered stratified budgeting, grouped by per-pixel budget.
+                   pipe: Pipeline) -> PixelSamples:
+    """Nucleus-filtered (pipe.tau) stratified budgeting, grouped by per-pixel
+    budget.
 
     Background pixels (all-zero proposals) fall back to stratified-uniform
-    sampling. With merge_probe, each pixel also integrates its parent probe
-    ray's coarse samples at the surviving support bins, realizing the probe's
-    amortized sample share.
+    sampling. With pipe.merge_probe, each pixel also integrates its parent
+    probe ray's coarse samples at its most informative bins, realizing the
+    probe's amortized sample share (spp_map counts the new samples only).
     """
     n, z = prop.pdf.shape
-    support = nucleus_support_grid(prop.pdf, tau)
+    height, width = pipe.camera.height, pipe.camera.width
+    support = nucleus_support_grid(prop.pdf, pipe.tau)
     fallback = _fallback_rows(prop.pdf)
     width_bins = (prop.t_far - prop.t_near) / z
 
-    if merge_probe:
+    if pipe.merge_probe:
         parents = parent_rows(height, width)
         probe_t = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(), z)
         lift_bins = _probe_lift_bins(prop.probe)
@@ -341,7 +310,7 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
             xi = block_uniforms(seed, 23, (n, int(s)))[rows]
             t, delta = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
                                           prop.t_near[rows], prop.t_far[rows], xi)
-            if merge_probe:
+            if pipe.merge_probe:
                 t, delta = _merge_probe_lift(t, probe_t, lift_bins[parents[rows]],
                                              parents[rows], prop.t_near[rows],
                                              prop.t_far[rows], width_bins[rows])
@@ -436,8 +405,7 @@ def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
     scores = adaptive_score_grid(prop.pdf, pipe.score_bins)
     scores = (scores * coverage_mask(prop, h, w)).reshape(h, w)
     spp_map = allocate_budgets(scores, pipe.budget)
-    samples = robust_samples(prop, spp_map.ravel(), pipe.seed, pipe.tau, h, w,
-                             merge_probe=pipe.merge_probe)
+    samples = robust_samples(prop, spp_map.ravel(), pipe.seed, pipe)
     return render_full(pipe.scene, pipe.camera, samples, workers=pipe.workers), spp_map
 
 
@@ -469,9 +437,7 @@ def run_bench(pipe: Pipeline, out_dir=None, write_previews: bool = True
                     out = render_uniform(scene, camera, spp, mode="stratified",
                                          seed=seed_t, workers=pipe.workers)
                 else:
-                    samples = method_samples(method, prop, spp, seed_t, pipe.tau,
-                                             camera.height, camera.width,
-                                             merge_probe=pipe.merge_probe)
+                    samples = method_samples(method, prop, spp, seed_t, pipe)
                     out = render_full(scene, camera, samples, workers=pipe.workers)
                 ms = 0.0 if pipe.deterministic else (time.perf_counter() - t0) * 1e3
                 rows.append(MetricRow(

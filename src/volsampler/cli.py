@@ -4,12 +4,10 @@ Subcommands: render, bench, train-proposal, compare-samplers, info.
 Global flags: --config, --seed, --workers, --out-dir, --deterministic.
 Exit codes: 0 success, 2 config error, 3 missing or malformed checkpoint,
 4 I/O error.
-VOLSAMPLER_THREADS overrides --workers when set.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -67,16 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _workers(args) -> int:
-    env = os.environ.get("VOLSAMPLER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"VOLSAMPLER_THREADS must be an integer, got {env!r}")
-    return max(1, args.workers)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     try:
@@ -88,7 +76,7 @@ def _out_dir(args) -> Path:
 
 def _pipeline(args, overrides: dict[str, str] | None = None) -> Pipeline:
     return Pipeline.from_config(Config.load(args.config, overrides),
-                                seed=args.seed, workers=_workers(args),
+                                seed=args.seed, workers=max(1, args.workers),
                                 deterministic=args.deterministic)
 
 
@@ -111,9 +99,7 @@ def cmd_render(args) -> int:
             result, spp_map = adaptive_pipeline_render(pipe, prop)
             spp_note = f"mean {spp_map.mean():.1f}"
         else:
-            samples = method_samples(args.method, prop, args.spp, args.seed,
-                                     pipe.tau, camera.height, camera.width,
-                                     merge_probe=pipe.merge_probe)
+            samples = method_samples(args.method, prop, args.spp, args.seed, pipe)
             result = render_full(scene, camera, samples, workers=pipe.workers)
             spp_note = f"{args.spp}"
 

@@ -16,9 +16,6 @@ DEFAULTS: dict[str, str] = {
     # scene
     "scene.name": "two-spheres",
     "scene.beta": "",            # empty -> catalog default
-    "scene.beta_band": "",
-    "scene.radius": "",
-    "scene.wall_z": "",
     # target (full-resolution) camera; the probe renders at 1/4 of it
     # (proposal.UPSCALE), so height and width are multiples of 4
     "camera.position": "0,0,2.8",
@@ -41,17 +38,10 @@ DEFAULTS: dict[str, str] = {
     "proposal.source": "probe-lift",
     "proposal.checkpoint": "",
     "proposal.hidden_channels": "64",
-    "proposal.lift_blur_sigma": "1.0",
     # training
     "train.steps": "500",
     "train.lr": "2e-3",
-    "train.lr_end_factor": "0.1",
-    "train.adam_beta1": "0.9",
-    "train.adam_beta2": "0.999",
     "train.patch": "16",
-    "train.blur_sigma": "1.0",
-    "train.blur_radius": "3",
-    "train.suppress_eps": "5e-3",
     # bench
     "bench.methods": "unstratified,stratified,robust",
     "bench.spp": "2,4,8,16,32,64",

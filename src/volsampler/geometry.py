@@ -60,11 +60,6 @@ class Camera:
         if self.height < 1 or self.width < 1:
             raise ValueError("resolution must be >= 1")
 
-    def scaled(self, factor: int) -> "Camera":
-        """Same pose and fov at factor-times the pixel resolution."""
-        return Camera(self.position, self.look_at, self.up, self.fov_y,
-                      self.height * factor, self.width * factor)
-
     def rays(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-pixel ray origins and unit directions, shape (H, W, 3).
 

@@ -21,12 +21,18 @@ def _pixel_sq_error(image: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return sq
 
 
-def psnr(image: np.ndarray, reference: np.ndarray, cap: float = PSNR_CAP) -> float:
-    """10 log10(1 / MSE) for images in [0, 1]; identical images hit the cap."""
-    mse = float(np.mean(_pixel_sq_error(image, reference)))
+def _capped_psnr(sq: np.ndarray, cap: float) -> float:
+    """10 log10(1 / MSE) over the squared errors sq, at most cap; a zero MSE
+    hits the cap."""
+    mse = float(np.mean(sq))
     if mse <= 0.0:
         return cap
     return min(cap, 10.0 * math.log10(1.0 / mse))
+
+
+def psnr(image: np.ndarray, reference: np.ndarray, cap: float = PSNR_CAP) -> float:
+    """10 log10(1 / MSE) for images in [0, 1]; identical images hit the cap."""
+    return _capped_psnr(_pixel_sq_error(image, reference), cap)
 
 
 def worst_percentile_psnr(image: np.ndarray, reference: np.ndarray, p: float,
@@ -41,10 +47,7 @@ def worst_percentile_psnr(image: np.ndarray, reference: np.ndarray, p: float,
     sq = _pixel_sq_error(image, reference).ravel()
     n_sel = max(1, math.ceil(p / 100.0 * sq.size))
     order = np.argsort(-sq, kind="stable")
-    mse = float(np.mean(sq[order[:n_sel]]))
-    if mse <= 0.0:
-        return cap
-    return min(cap, 10.0 * math.log10(1.0 / mse))
+    return _capped_psnr(sq[order[:n_sel]], cap)
 
 
 def foreground_psnr(image: np.ndarray, reference: np.ndarray, mask: np.ndarray,
@@ -55,7 +58,4 @@ def foreground_psnr(image: np.ndarray, reference: np.ndarray, mask: np.ndarray,
         raise ValueError("mask must match image resolution")
     if not np.any(mask):
         raise ValueError("empty foreground mask")
-    mse = float(sq[mask].mean())
-    if mse <= 0.0:
-        return cap
-    return min(cap, 10.0 * math.log10(1.0 / mse))
+    return _capped_psnr(sq[mask], cap)

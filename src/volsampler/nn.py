@@ -167,6 +167,8 @@ def softmax_ce(logits: np.ndarray, target: np.ndarray, valid: np.ndarray):
     both the mean and the gradient. Returns (loss, probs, d_logits) with the
     fused gradient (probs - target) / n_valid at valid pixels.
     """
+    if target.shape != logits.shape:
+        raise ValueError(f"target shape {target.shape} differs from logits {logits.shape}")
     probs = softmax_channels(logits)
     n_valid = int(valid.sum())
     if n_valid == 0:

@@ -33,6 +33,7 @@ UPSCALE = 4  # two 2x bilinear stages
 HALO = 4
 CHECKPOINT_MAGIC = b"VSMP"
 CHECKPOINT_VERSION = 1
+LR_END_FACTOR = 0.1  # the cosine schedule decays lr to lr * LR_END_FACTOR
 
 
 @dataclass
@@ -68,7 +69,7 @@ def blur_bins(weights: np.ndarray, sigma: float, radius: int = 3) -> np.ndarray:
 
 
 def build_target(p_patch: np.ndarray, blur_sigma: float = 1.0,
-                 suppress_eps: float = 5e-3, blur_radius: int = 3) -> SupervisionTarget:
+                 suppress_eps: float = 5e-3) -> SupervisionTarget:
     """Clean a ground-truth weight patch into supervision distributions.
 
     Per ray: Gaussian-blur along bins, zero entries below suppress_eps,
@@ -78,23 +79,12 @@ def build_target(p_patch: np.ndarray, blur_sigma: float = 1.0,
     p = np.asarray(p_patch, dtype=np.float64)
     if np.any(p < 0.0):
         raise ValueError("weights must be nonnegative")
-    b = blur_bins(p, blur_sigma, blur_radius)
+    b = blur_bins(p, blur_sigma)
     b[b < suppress_eps] = 0.0
     total = b.sum(axis=0)
     valid = total > 0.0
     b = np.where(valid[None], b / np.where(valid, total, 1.0)[None], 0.0)
     return SupervisionTarget(probs=b, valid=valid)
-
-
-def sampler_loss(phat_patch: np.ndarray, target: SupervisionTarget,
-                 eps_log: float = 1e-12) -> float:
-    """Mean cross-entropy sum_j -pbar_j log(phat_j + eps) over valid pixels."""
-    if phat_patch.shape != target.probs.shape:
-        raise ValueError("patch shapes differ")
-    if not np.any(target.valid):
-        return 0.0
-    ce = -(target.probs * np.log(phat_patch + eps_log)).sum(axis=0)
-    return float(ce[target.valid].mean())
 
 
 class ProposalNet:
@@ -209,21 +199,15 @@ def _acc(net: ProposalNet, name: str, dw, db):
 @dataclass
 class TrainConfig:
     steps: int = 500
-    lr: float = 1e-3
-    lr_end_factor: float = 0.1   # cosine decay to lr * factor
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    patch: int = 64
-    blur_sigma: float = 1.0
-    blur_radius: int = 3
-    suppress_eps: float = 5e-3
+    lr: float = 2e-3
+    patch: int = 16
     z_bins: int = 192
 
     def lr_at(self, step: int) -> float:
         if self.steps <= 1:
             return self.lr
         frac = step / (self.steps - 1)
-        lo = self.lr * self.lr_end_factor
+        lo = self.lr * LR_END_FACTOR
         return lo + 0.5 * (self.lr - lo) * (1.0 + np.cos(np.pi * frac))
 
 
@@ -247,7 +231,7 @@ def patch_pixels(row: int, col: int, patch: int, height: int, width: int):
 
 
 def render_gt_patch(scene: SceneOracle, camera_full: Camera, row: int, col: int,
-                    patch: int, z_bins: int, workers: int = 1):
+                    patch: int, z_bins: int):
     """Ground-truth dense weight patch (Z, patch, patch) at full resolution,
     wrapping around the image edges (see patch_pixels), sampled at the
     probe's bin midpoints."""
@@ -312,7 +296,7 @@ def backward_patch(net: ProposalNet, windows, d_patch: np.ndarray) -> None:
 
 def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
                camera_full: Camera, rng: np.random.Generator,
-               cfg: TrainConfig, probe: ProbeOutput, workers: int = 1) -> float:
+               cfg: TrainConfig, probe: ProbeOutput) -> float:
     """One supervised step: random ground-truth patch, CE loss, Adam. probe
     is the scene's probe at probe_camera(camera_full).
 
@@ -337,9 +321,8 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
     # edges, so each pixel lies in exactly patch**2 of the h*w equally likely
     # patches: border pixels are supervised as often as interior ones
     row, col = int(rng.integers(h)), int(rng.integers(w))
-    gt = render_gt_patch(scene, camera_full, row, col, cfg.patch, cfg.z_bins,
-                         workers=workers)
-    target = build_target(gt, cfg.blur_sigma, cfg.suppress_eps, cfg.blur_radius)
+    target = build_target(render_gt_patch(scene, camera_full, row, col,
+                                          cfg.patch, cfg.z_bins))
 
     net.zero_grads()
     loss = 0.0
@@ -358,18 +341,17 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
           log_every: int = 0) -> list[float]:
     """Run cfg.steps supervised steps; returns the per-step loss history.
 
-    The probe is deterministic, so it is rendered once and every step reuses
-    it.
+    The probe is deterministic, so it is rendered once, on `workers`
+    threads, and every step reuses it.
     """
     rng = np.random.default_rng(seed)
-    opt = AdamState(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2)
+    opt = AdamState(lr=cfg.lr)
     probe = render_probe(scene, probe_camera(camera_full), cfg.z_bins,
                          workers=workers)
     losses = []
     for step in range(cfg.steps):
         opt.lr = cfg.lr_at(step)
-        loss = train_step(net, opt, scene, camera_full, rng, cfg,
-                          probe=probe, workers=workers)
+        loss = train_step(net, opt, scene, camera_full, rng, cfg, probe=probe)
         losses.append(loss)
         if log_every and (step + 1) % log_every == 0:
             recent = np.mean(losses[-log_every:])

@@ -72,14 +72,14 @@ class PixelSamples:
                            None if delta is None else delta.reshape(h * w, k))])
 
 
-def _quadrature_weights(sigma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Volume-rendering weights w_i = T_i (1 - exp(-sigma_i delta_i)) and the
-    final transmittance; running T is non-increasing by construction."""
+def _quadrature_weights(sigma: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Volume-rendering weights w_i = T_i (1 - exp(-sigma_i delta_i)); running
+    T is non-increasing by construction."""
     tau = sigma * delta
     cum = np.cumsum(tau, axis=-1)
     trans = np.exp(-(cum - tau))  # exclusive prefix sum
     alpha = -np.expm1(-tau)
-    return trans * alpha, np.exp(-cum[..., -1])
+    return trans * alpha
 
 
 def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
@@ -87,7 +87,7 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
                     deltas: np.ndarray | None = None, validate: bool = True) -> dict:
     """Integrate N rays at sorted sample positions t (N, K).
 
-    Returns rgb (N,3), weights (N,K), s (N,K), beta (N,K), trans_end (N,).
+    Returns rgb (N,3), weights (N,K), s (N,K), beta (N,K).
     The last interval is capped at the far plane unless explicit deltas are
     supplied.
     """
@@ -114,10 +114,9 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
         raise ValueError("deltas must be nonnegative")
 
     sigma = laplace_density(s, beta)
-    weights, trans_end = _quadrature_weights(sigma, deltas)
+    weights = _quadrature_weights(sigma, deltas)
     rgb = np.sum(weights[:, :, None] * rgb_samples, axis=1)
-    return {"rgb": rgb, "weights": weights, "s": s, "beta": beta,
-            "trans_end": trans_end}
+    return {"rgb": rgb, "weights": weights, "s": s, "beta": beta}
 
 
 def _run_chunks(fn, n: int, workers: int, samples_per_ray: int = 192) -> None:

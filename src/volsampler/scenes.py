@@ -140,7 +140,7 @@ def _constant_albedo(rgb):
 
 
 def _build_sphere(params):
-    r = params["radius"]
+    r = 1.0
     c = (0.0, 0.0, 0.0)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
                 _normal=lambda p: _sphere_normal(p, c),
@@ -223,7 +223,7 @@ def _build_textured_sphere(params):
     r = 0.68
     c = (0.0, 0.0, 0.0)
     base = params["beta"]
-    band = params["beta_band"]
+    band = 0.04
 
     def albedo(p):
         # Soft checker in spherical angles.
@@ -269,8 +269,6 @@ SCENE_NAMES = ("sphere", "two-spheres", "torus", "blended-union", "textured-sphe
 
 _DEFAULTS = {
     "beta": 0.025,
-    "beta_band": 0.04,
-    "radius": 1.0,
     "wall_z": 0.0,
 }
 

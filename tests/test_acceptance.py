@@ -329,7 +329,7 @@ def test_c8_worst_percentile_ordering(trained):
                 for i, m in enumerate(("unstratified", "stratified", "robust")):
                     samples = method_samples(m, trained.proposals, spp,
                                              derive_seed(8, seed, spp, i),
-                                             0.98, 128, 128)
+                                             trained.pipeline)
                     out = render_full(trained.scene, trained.camera, samples,
                                       workers=2)
                     w1[m] = worst_percentile_psnr(out.radiance, ref, 1.0)

@@ -138,9 +138,10 @@ class TestProposalsAndMethods:
     def test_method_samples_shapes_and_render(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
+        pipe = tiny_spec(scene=sc, camera=cam)
+        prop = prepare_proposals(pipe)
         for m in ("unstratified", "stratified", "robust"):
-            samples = method_samples(m, prop, 6, seed=4, height=16, width=16)
+            samples = method_samples(m, prop, 6, 4, pipe)
             out = render_full(sc, cam, samples)
             assert np.all(np.isfinite(out.radiance))
             total = sum(len(idx) for idx, _, _ in samples.groups)
@@ -149,20 +150,22 @@ class TestProposalsAndMethods:
     def test_background_rows_fall_back_to_uniform(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
+        pipe = tiny_spec(scene=sc, camera=cam)
+        prop = prepare_proposals(pipe)
         bg = np.flatnonzero(prop.pdf.sum(axis=1) == 0)
         assert bg.size > 0  # corners miss both spheres
-        samples = method_samples("robust", prop, 4, seed=4, height=16, width=16)
+        samples = method_samples("robust", prop, 4, 4, pipe)
         covered = np.concatenate([idx for idx, _, _ in samples.groups])
         assert np.array_equal(np.sort(covered), np.arange(256))
 
     def test_adaptive_budget_grouping(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
+        pipe = tiny_spec(scene=sc, camera=cam, merge_probe=False)
+        prop = prepare_proposals(pipe)
         scores = adaptive_score_grid(prop.pdf, 8)
         spp_map = np.where(scores > np.median(scores), 8, 4).astype(np.int64)
-        samples = robust_samples(prop, spp_map, seed=4, height=16, width=16)
+        samples = robust_samples(prop, spp_map, 4, pipe)
         for idx, t, delta in samples.groups:
             assert t.shape[0] == len(idx)
         out = render_full(sc, cam, samples)
@@ -171,11 +174,12 @@ class TestProposalsAndMethods:
     def test_merge_probe_appends_parent_coarse_positions(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
+        pipe = tiny_spec(scene=sc, camera=cam)
+        prop = prepare_proposals(pipe)
         plain = robust_samples(prop, np.full(256, 6, dtype=np.int64), 4,
-                               height=16, width=16, merge_probe=False)
+                               replace(pipe, merge_probe=False))
         merged = robust_samples(prop, np.full(256, 6, dtype=np.int64), 4,
-                                height=16, width=16, merge_probe=True)
+                                replace(pipe, merge_probe=True))
         n_plain = max(t.shape[1] for _, t, _ in plain.groups)
         n_merged = max(t.shape[1] for _, t, _ in merged.groups)
         assert n_merged > n_plain
@@ -186,11 +190,11 @@ class TestProposalsAndMethods:
         # an unused slot
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        prop = prepare_proposals(tiny_spec(scene=sc, camera=cam))
+        pipe = tiny_spec(scene=sc, camera=cam)
+        prop = prepare_proposals(pipe)
         spp_map = np.full(256, 6, dtype=np.int64)
-        plain = robust_samples(prop, spp_map, 4, height=16, width=16)
-        merged = robust_samples(prop, spp_map, 4, height=16, width=16,
-                                merge_probe=True)
+        plain = robust_samples(prop, spp_map, 4, replace(pipe, merge_probe=False))
+        merged = robust_samples(prop, spp_map, 4, replace(pipe, merge_probe=True))
         own = {int(r): t for rows, t, _ in plain.groups for r, t in zip(rows, t)}
         mids = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(),
                              prop.z)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from volsampler.bench import Pipeline
 from volsampler.cli import main
 from volsampler.config import DEFAULTS, Config, ConfigError, parse_config_text
-from volsampler.proposal import ProposalNet, save_checkpoint
+from volsampler.proposal import ProposalNet, TrainConfig, save_checkpoint
+from volsampler.sampling import SampleBudget
 
 
 class TestParser:
@@ -148,13 +149,6 @@ class TestCliExitCodes:
         assert self.run_cli("bench", "--config", str(cfg), "--out-dir",
                             str(blocker / "sub")) == 4
 
-    def test_env_var_overrides_workers(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VOLSAMPLER_THREADS", "not-a-number")
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(TINY)
-        assert self.run_cli("bench", "--config", str(cfg), "--out-dir",
-                            str(tmp_path / "o")) == 2
-
     def test_render_writes_images(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY)
@@ -226,6 +220,20 @@ train.patch = 8
                      "--out-dir", str(tmp_path / "o")]) == 2
 
 
+# keys deleted from the config, each at its last default
+REMOVED_KEYS = [
+    "scene.beta_band = 0.04",
+    "scene.radius = 1.0",
+    "scene.wall_z = 0.0",
+    "proposal.lift_blur_sigma = 1.0",
+    "train.lr_end_factor = 0.1",
+    "train.adam_beta1 = 0.9",
+    "train.adam_beta2 = 0.999",
+    "train.blur_sigma = 1.0",
+    "train.blur_radius = 3",
+    "train.suppress_eps = 5e-3",
+]
+
 # (subcommand with its flags, config lines added to TINY); each is refused
 # before anything larger than TINY's 16x16 camera is rendered
 BAD_INPUTS = [
@@ -247,7 +255,7 @@ BAD_INPUTS = [
     ("render --method uniform-dense --spp 0", ""),
     ("train-proposal --steps -3", ""),
     ("train-proposal --steps 0", ""),
-]
+] + [("render", line) for line in REMOVED_KEYS]
 
 
 @pytest.mark.parametrize("command,extra", BAD_INPUTS,
@@ -258,7 +266,10 @@ def test_invalid_value_exits_2(tmp_path, capsys, command, extra):
     cfg.write_text(TINY + extra + "\n")
     argv = command.split() + ["--config", str(cfg), "--out-dir", str(tmp_path / "o")]
     assert main(argv) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if extra in REMOVED_KEYS:
+        assert "unknown config key" in err
 
 
 def test_main_leaves_numpy_error_state_unchanged(tmp_path):
@@ -285,6 +296,12 @@ def test_pipeline_reads_every_config_key():
     cfg = RecordingConfig(dict(DEFAULTS))
     Pipeline.from_config(cfg)
     assert cfg.read == set(DEFAULTS)
+
+
+def test_library_defaults_match_config():
+    pipe = Pipeline.from_config(Config.load(None))
+    assert pipe.training == TrainConfig()
+    assert pipe.budget == SampleBudget()
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)

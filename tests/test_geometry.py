@@ -32,11 +32,6 @@ class TestCamera:
         with pytest.raises(ValueError, match="parallel"):
             Camera((1e308, 1e308, 1e308), (-1e308, 0, 0), (0, 1, 0), 0.5, 4, 4)
 
-    def test_scaled_keeps_pose(self):
-        cam = default_camera(16, 16).scaled(4)
-        assert (cam.height, cam.width) == (64, 64)
-        np.testing.assert_array_equal(cam.position, default_camera().position)
-
 
 class TestBoxClip:
     def test_axis_ray_hits_box_faces(self):

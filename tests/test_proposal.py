@@ -9,10 +9,10 @@ from volsampler.geometry import Camera
 from volsampler.nn import (AdamState, adam_step, he_init, softmax_ce,
                           softmax_channels)
 from volsampler.proposal import (HALO, CheckpointError, ProposalNet,
-                                 SupervisionTarget, TrainConfig, build_target,
+                                 TrainConfig, build_target,
                                  forward_patch, gaussian_kernel, load_checkpoint,
                                  patch_pixels, probe_camera, probe_inputs,
-                                 render_gt_patch, sampler_loss, save_checkpoint,
+                                 render_gt_patch, save_checkpoint,
                                  train, train_step)
 from volsampler.render import camera_geometry, render_probe
 from volsampler.scenes import make_scene
@@ -88,20 +88,26 @@ class TestBuildTarget:
 
 
 class TestSamplerLoss:
+    """softmax_ce, the loss train_step runs: logits (1, Z, h, w), target
+    distributions of the same shape, valid (1, h, w)."""
+
     def test_one_hot_match_is_zero(self):
         z = 16
-        probs = np.zeros((z, 1, 1))
-        probs[5] = 1.0
-        tgt = SupervisionTarget(probs=probs.copy(), valid=np.ones((1, 1), bool))
-        assert sampler_loss(probs, tgt) == pytest.approx(0.0, abs=1e-9)
+        target = np.zeros((1, z, 1, 1))
+        target[0, 5] = 1.0
+        # exp(-1000) underflows to 0: the prediction is exactly one-hot
+        logits = np.where(target > 0.0, 0.0, -1000.0)
+        loss, probs, _ = softmax_ce(logits, target, np.ones((1, 1, 1), bool))
+        np.testing.assert_array_equal(probs, target)
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_costs_log_z(self):
         z = 192
-        tgt_p = np.zeros((z, 1, 1))
-        tgt_p[17] = 1.0
-        tgt = SupervisionTarget(probs=tgt_p, valid=np.ones((1, 1), bool))
-        phat = np.full((z, 1, 1), 1.0 / z)
-        assert sampler_loss(phat, tgt) == pytest.approx(np.log(192), rel=1e-9)
+        target = np.zeros((1, z, 1, 1))
+        target[0, 17] = 1.0
+        loss, _, _ = softmax_ce(np.zeros((1, z, 1, 1)), target,
+                                np.ones((1, 1, 1), bool))
+        assert loss == pytest.approx(np.log(192), rel=1e-9)
 
     def test_matches_double_loop_oracle(self, rng):
         z, h, w = 12, 4, 3
@@ -110,15 +116,14 @@ class TestSamplerLoss:
         tgt_p = rng.random((z, h, w))
         tgt_p /= tgt_p.sum(axis=0)
         valid = rng.random((h, w)) > 0.3
-        tgt = SupervisionTarget(probs=tgt_p, valid=valid)
-        assert sampler_loss(phat, tgt) == pytest.approx(
-            naive_cross_entropy(phat, tgt_p, valid), abs=1e-10)
+        loss, _, _ = softmax_ce(np.log(phat)[None], tgt_p[None], valid[None])
+        assert loss == pytest.approx(naive_cross_entropy(phat, tgt_p, valid),
+                                     abs=1e-10)
 
     def test_shape_mismatch(self):
-        tgt = SupervisionTarget(probs=np.ones((4, 2, 2)) / 4,
-                                valid=np.ones((2, 2), bool))
         with pytest.raises(ValueError):
-            sampler_loss(np.ones((4, 3, 3)) / 4, tgt)
+            softmax_ce(np.zeros((1, 4, 3, 3)), np.ones((1, 4, 2, 2)) / 4,
+                       np.ones((1, 2, 2), bool))
 
 
 class TestProposalNetForward:
