@@ -1,10 +1,14 @@
 """Quadrature volume rendering over procedural SDF scenes.
 
 Produces radiance images, per-ray weight tensors (the probe fed to the
-proposal network), accumulated-variance images, and expected depth. Pixels
-are embarrassingly parallel: a worker count chunks the image, and chunking
-never changes per-pixel arithmetic, so any worker count reproduces the
-single-worker output bit for bit.
+proposal network), accumulated-variance images, and expected depth. Every
+sample point gets its SDF and beta; only points with nonzero quadrature
+weight are shaded, since a zero weight adds 0 * rgb == 0 to the pixel either
+way. Pixels are embarrassingly parallel: the image is cut into chunks of
+about _CHUNK_POINTS sample points, which keeps each per-point temporary
+within a few hundred kilobytes, and the chunks are shared among the workers.
+Chunking never changes per-pixel arithmetic, so any chunk size and worker
+count reproduce the single-worker output bit for bit.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from .sampling import (interval_deltas, inverse_cdf_sample_edges,
                        stratified_u_block)
 from .scenes import SceneOracle, laplace_density
 
-_CHUNK_POINTS = 1 << 19
+_CHUNK_POINTS = 1 << 15
 
 
 def _chunk_rows(n_rays: int, samples_per_ray: int) -> int:
@@ -89,7 +93,7 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
 
     Returns rgb (N,3), weights (N,K), s (N,K), beta (N,K).
     The last interval is capped at the far plane unless explicit deltas are
-    supplied.
+    supplied. The weights come first; only samples with w > 0 are shaded.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] < 1:
@@ -103,10 +107,9 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
     p = origins[:, None, :] + t[:, :, None] * dirs[:, None, :]
     n, k = t.shape
     v = np.broadcast_to(dirs[:, None, :], (n, k, 3)).reshape(-1, 3)
-    s, beta, rgb_samples = scene.fields(p.reshape(-1, 3), v)
+    s, beta, shade = scene.fields(p.reshape(-1, 3), v)
     s = s.reshape(n, k)
     beta = beta.reshape(n, k)
-    rgb_samples = rgb_samples.reshape(n, k, 3)
 
     if deltas is None:
         deltas = np.maximum(interval_deltas(t, t_far), 0.0)
@@ -115,11 +118,18 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
 
     sigma = laplace_density(s, beta)
     weights = _quadrature_weights(sigma, deltas)
-    rgb = np.sum(weights[:, :, None] * rgb_samples, axis=1)
+    live = weights.reshape(-1) > 0.0
+    if live.all():  # e.g. a soft scene: skip the gather and scatter
+        rgb_samples = shade(slice(None))
+    else:
+        rows = np.flatnonzero(live)
+        rgb_samples = np.zeros((n * k, 3))
+        rgb_samples[rows] = shade(rows)
+    rgb = np.sum(weights[:, :, None] * rgb_samples.reshape(n, k, 3), axis=1)
     return {"rgb": rgb, "weights": weights, "s": s, "beta": beta}
 
 
-def _run_chunks(fn, n: int, workers: int, samples_per_ray: int = 192) -> None:
+def _run_chunks(fn, n: int, workers: int, samples_per_ray: int) -> None:
     step = _chunk_rows(n, samples_per_ray)
     bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     if workers <= 1:

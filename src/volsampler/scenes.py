@@ -60,10 +60,11 @@ def _sphere_sdf(p, center, radius):
     return np.sqrt(dx * dx + dy * dy + dz * dz) - radius
 
 
-def _sphere_normal(p, center):
+def _sphere_sdf_normal(p, center, radius):
+    """Signed distance and unit outward normal from one |p - center|."""
     d = p - np.asarray(center)
-    n = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
-    return d / np.maximum(n, 1e-12)
+    r = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
+    return r - radius, d / np.maximum(r, 1e-12)[..., None]
 
 
 def _torus_sdf(p, center, major, minor):
@@ -88,8 +89,7 @@ class SceneOracle:
     name: str
     params: dict = field(default_factory=dict)
     _sdf: Callable = None
-    _normal: Callable = None
-    _albedo: Callable = None
+    _surface: Callable = None  # p -> (unit normal, albedo)
     _beta: Callable = None
     specular: float = 0.0
     spec_power: float = 16.0
@@ -103,14 +103,14 @@ class SceneOracle:
 
     def normals(self, p: np.ndarray) -> np.ndarray:
         """Unit SDF gradient (analytic per scene)."""
-        return self._normal(np.asarray(p, dtype=np.float64))
+        return self._surface(np.asarray(p, dtype=np.float64))[0]
 
     def radiance(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
-        n = self.normals(p)
+        n, albedo = self._surface(p)
         lambert = np.maximum(n @ _LIGHT_DIR, 0.0)
         shade = _AMBIENT + _DIFFUSE * lambert
-        rgb = self._albedo(p) * shade[..., None]
+        rgb = albedo * shade[..., None]
         if self.specular > 0.0:
             # Blinn-Phong lobe towards the viewer (v points along the ray).
             half = normalize(_LIGHT_DIR - np.asarray(v, dtype=np.float64))
@@ -119,10 +119,15 @@ class SceneOracle:
         return np.clip(rgb, 0.0, 1.0)
 
     def fields(self, p: np.ndarray, v: np.ndarray):
-        """(s, beta, radiance) at points p viewed along v."""
-        p = np.asarray(p, dtype=np.float64)
-        return self.sdf(p), self.beta_field(p), self.radiance(p, v)
+        """(s, beta, shade) at points p (M, 3) viewed along v (M, 3).
 
+        Every evaluated point passes through here once. Shading costs several
+        times the SDF, so it is deferred: shade(rows) is the radiance at
+        p[rows] along v[rows], and renderers call it on the points that carry
+        quadrature weight only.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        return self.sdf(p), self.beta_field(p), lambda rows: self.radiance(p[rows], v[rows])
 
 
 def _constant_beta(value):
@@ -139,12 +144,17 @@ def _constant_albedo(rgb):
     return f
 
 
+def _surface(normal, albedo):
+    """A scene's (normal, albedo) query when the two share no work."""
+    return lambda p: (normal(p), albedo(p))
+
+
 def _build_sphere(params):
     r = 1.0
     c = (0.0, 0.0, 0.0)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
-                _normal=lambda p: _sphere_normal(p, c),
-                _albedo=_constant_albedo((0.80, 0.56, 0.34)),
+                _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1],
+                                  _constant_albedo((0.80, 0.56, 0.34))),
                 _beta=_constant_beta(params["beta"]))
 
 
@@ -160,19 +170,14 @@ def _build_two_spheres(params):
     def sdf(p):
         return np.minimum(_sphere_sdf(p, ca, ra), _sphere_sdf(p, cb, rb))
 
-    def nearest_a(p):
-        return _sphere_sdf(p, ca, ra) <= _sphere_sdf(p, cb, rb)
-
-    def normal(p):
-        na = _sphere_normal(p, ca)
-        nb = _sphere_normal(p, cb)
-        return np.where(nearest_a(p)[..., None], na, nb)
-
-    def albedo(p):
-        return np.where(nearest_a(p)[..., None],
-                        np.array([0.85, 0.30, 0.25]), np.array([0.25, 0.45, 0.85]))
-    return dict(_sdf=sdf, _normal=normal, _albedo=albedo,
-                _beta=_constant_beta(params["beta"]))
+    def surface(p):
+        sa, na = _sphere_sdf_normal(p, ca, ra)
+        sb, nb = _sphere_sdf_normal(p, cb, rb)
+        nearest_a = (sa <= sb)[..., None]
+        return (np.where(nearest_a, na, nb),
+                np.where(nearest_a, np.array([0.85, 0.30, 0.25]),
+                         np.array([0.25, 0.45, 0.85])))
+    return dict(_sdf=sdf, _surface=surface, _beta=_constant_beta(params["beta"]))
 
 
 def _build_torus(params):
@@ -191,8 +196,7 @@ def _build_torus(params):
         g = np.stack([dx * scale, dy, dz * scale], axis=-1)
         n = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
         return g / np.maximum(n, 1e-12)
-    return dict(_sdf=sdf, _normal=normal,
-                _albedo=_constant_albedo((0.35, 0.75, 0.40)),
+    return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.35, 0.75, 0.40))),
                 _beta=_constant_beta(params["beta"]))
 
 
@@ -205,17 +209,17 @@ def _build_blended_union(params):
         return _smooth_union(_sphere_sdf(p, ca, ra), _sphere_sdf(p, cb, rb), k)
 
     def normal(p):
-        a = _sphere_sdf(p, ca, ra)
-        b = _sphere_sdf(p, cb, rb)
+        a, na = _sphere_sdf_normal(p, ca, ra)
+        b, nb = _sphere_sdf_normal(p, cb, rb)
         h = np.clip(0.5 + 0.5 * (b - a) / k, 0.0, 1.0)[..., None]
-        g = h * _sphere_normal(p, ca) + (1.0 - h) * _sphere_normal(p, cb)
+        g = h * na + (1.0 - h) * nb
         n = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
         return g / np.maximum(n, 1e-12)
 
     def albedo(p):
         t = np.clip(0.5 + p[..., 0], 0.0, 1.0)[..., None]
         return (1.0 - t) * np.array([0.75, 0.60, 0.25]) + t * np.array([0.45, 0.35, 0.70])
-    return dict(_sdf=sdf, _normal=normal, _albedo=albedo,
+    return dict(_sdf=sdf, _surface=_surface(normal, albedo),
                 _beta=_constant_beta(params["beta"]))
 
 
@@ -239,8 +243,8 @@ def _build_textured_sphere(params):
         # Fuzzy equatorial band: variance rises where |y| is small.
         return base + band * np.exp(-(p[..., 1] / 0.18) ** 2)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
-                _normal=lambda p: _sphere_normal(p, c),
-                _albedo=albedo, _beta=beta_f, specular=0.35)
+                _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1], albedo),
+                _beta=beta_f, specular=0.35)
 
 
 def _build_wall(params):
@@ -251,8 +255,7 @@ def _build_wall(params):
 
     def normal(p):
         return np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape)
-    return dict(_sdf=sdf, _normal=normal,
-                _albedo=_constant_albedo((0.70, 0.70, 0.72)),
+    return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.70, 0.70, 0.72))),
                 _beta=_constant_beta(params["beta"]))
 
 

@@ -15,8 +15,8 @@ def vacuum_scene() -> SceneOracle:
     return SceneOracle(
         name="vacuum",
         _sdf=lambda p: np.full(p.shape[:-1], 10.0),
-        _normal=lambda p: np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape),
-        _albedo=lambda p: np.broadcast_to(np.array([1.0, 1.0, 1.0]), p.shape[:-1] + (3,)),
+        _surface=lambda p: (np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape),
+                            np.broadcast_to(np.array([1.0, 1.0, 1.0]), p.shape[:-1] + (3,))),
         _beta=lambda p: np.full(p.shape[:-1], 0.01),
     )
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import ray_sphere_hit, small_camera, vacuum_scene
+from volsampler import render
 from volsampler.metrics import psnr
 from volsampler.render import (PixelSamples, _quadrature_weights, bin_midpoints,
                                camera_geometry, integrate_batch, render_full,
                                render_probe, render_reference, render_uniform)
 from volsampler.sampling import inverse_cdf_sample_grid, normalize_pdf
-from volsampler.scenes import SCENE_NAMES, make_scene
+from volsampler.scenes import SCENE_NAMES, SceneOracle, laplace_density, make_scene
 
 
 def reference_weights(sigma, delta):
@@ -84,6 +87,88 @@ class TestIntegrateRay:
         ref_w, _ = reference_weights(sigma, delta)
         np.testing.assert_allclose(w, ref_w, atol=1e-12)
         assert w.sum() <= 1.0 + 1e-6
+
+
+class RecordingScene(SceneOracle):
+    """A scene that records the points reaching `fields` and `radiance`."""
+
+    @classmethod
+    def of(cls, scene: SceneOracle) -> "RecordingScene":
+        rec = cls(**{f.name: getattr(scene, f.name) for f in dataclasses.fields(scene)})
+        rec.seen = {"fields": [], "radiance": []}
+        return rec
+
+    def fields(self, p, v):
+        self.seen["fields"].append(np.array(p))
+        return super().fields(p, v)
+
+    def radiance(self, p, v):
+        self.seen["radiance"].append(np.array(p))
+        return super().radiance(p, v)
+
+
+# (scene, beta, camera side): tight two-spheres, where most rays miss both
+# spheres; the tight unit sphere, whose transmittance underflows to exactly 0
+# inside it; the textured sphere, whose soft band leaves no sample unweighted
+SHADING_CASES = [("two-spheres", 0.0015, 16), ("sphere", 0.0015, 16),
+                 ("textured-sphere", None, 8)]
+
+
+def _dense_batch(name, beta, res, spp=96):
+    o, d, t_near, t_far = camera_geometry(small_camera(res))
+    return make_scene(name, beta=beta), o, d, bin_midpoints(t_near, t_far, spp), t_far
+
+
+class TestLiveShading:
+    """integrate_batch shades only samples with w > 0; a zero weight adds
+    0 * rgb == 0 to the same sum, so colours equal eager shading bit for bit."""
+
+    @pytest.mark.parametrize("name,beta,res", SHADING_CASES)
+    def test_matches_eager_shading_bitwise(self, name, beta, res):
+        sc, o, d, t, t_far = _dense_batch(name, beta, res)
+        out = integrate_batch(sc, o, d, t, t_far)
+        w = out["weights"]
+        n, k = t.shape
+        # eager: shade every sample, then the same weighted sum
+        p = (o[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 3)
+        v = np.broadcast_to(d[:, None, :], (n, k, 3)).reshape(-1, 3)
+        eager = np.sum(w[:, :, None] * sc.radiance(p, v).reshape(n, k, 3), axis=1)
+        assert np.array_equal(out["rgb"], eager)
+
+        live = w > 0.0
+        if name == "two-spheres":
+            assert (~live.any(axis=1)).sum() > n // 4 and live.any()
+        elif name == "sphere":
+            tau = laplace_density(out["s"], out["beta"]) * np.diff(
+                np.concatenate([t, t_far[:, None]], axis=1), axis=1)
+            trans = np.exp(-(np.cumsum(tau, axis=1) - tau))
+            assert np.any(live.any(axis=1) & (trans == 0.0).any(axis=1))
+        else:
+            assert live.all()
+
+    @pytest.mark.parametrize("name,beta,res", SHADING_CASES)
+    def test_radiance_receives_exactly_the_weighted_points(self, name, beta, res):
+        sc, o, d, t, t_far = _dense_batch(name, beta, res)
+        rec = RecordingScene.of(sc)
+        out = integrate_batch(rec, o, d, t, t_far)
+        p = (o[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 3)
+        assert len(rec.seen["fields"]) == 1
+        assert np.array_equal(rec.seen["fields"][0], p)
+        assert len(rec.seen["radiance"]) == 1
+        assert np.array_equal(rec.seen["radiance"][0], p[out["weights"].reshape(-1) > 0.0])
+
+    def test_chunk_size_does_not_change_images(self, monkeypatch):
+        sc = make_scene("two-spheres", beta=0.0015)
+        cam = small_camera(32)
+        images = []
+        for chunk in (1 << 19, 1 << 15):
+            monkeypatch.setattr(render, "_CHUNK_POINTS", chunk)
+            images.append([render_uniform(sc, cam, 96, seed=3),
+                           render_reference(sc, cam, seed=5)])
+        assert render._chunk_rows(32 * 32, 96) < 32 * 32  # 2^15 splits the frame
+        for a, b in zip(*images):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 class TestRenderProbe:

@@ -36,10 +36,11 @@ class TestSceneQueries:
         sc = make_scene("textured-sphere")
         p = rng.uniform(-1, 1, size=(64, 3))
         v = np.tile([0.0, 0.0, -1.0], (64, 1))
-        a_s, _, a_rgb = sc.fields(p, v)
-        b_s, _, b_rgb = sc.fields(p, v)
+        a_s, _, a_shade = sc.fields(p, v)
+        b_s, _, b_shade = sc.fields(p, v)
         assert np.array_equal(a_s, b_s)
-        assert np.array_equal(a_rgb, b_rgb)
+        assert np.array_equal(a_shade(slice(None)), b_shade(slice(None)))
+        assert np.array_equal(a_shade(slice(None)), sc.radiance(p, v))
 
     @pytest.mark.parametrize("name", ALL_SCENES)
     def test_sample_invariants(self, name, rng):
@@ -47,7 +48,9 @@ class TestSceneQueries:
         p = rng.uniform(-1, 1, size=(512, 3))
         v = rng.standard_normal((512, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        _, beta, radiance = sc.fields(p, v)
+        _, beta, shade = sc.fields(p, v)
+        radiance = shade(slice(None))
+        assert np.array_equal(radiance, sc.radiance(p, v))
         assert np.all(beta >= BETA_MIN) and np.all(beta <= BETA_MAX)
         assert np.all(radiance >= 0.0) and np.all(radiance <= 1.0)
 
@@ -74,6 +77,24 @@ class TestSceneQueries:
         keep = norms[:, 0] > 1e-6
         np.testing.assert_allclose(sc.normals(p)[keep], (g / norms)[keep],
                                    atol=5e-4)
+
+    def test_two_spheres_shades_with_the_nearer_sphere(self, rng):
+        # oracle: each point shaded as the sphere it is nearer to, alone
+        from volsampler.scenes import _TWO_SPHERES
+        ca, ra, cb, rb = _TWO_SPHERES
+        p = rng.uniform(-1, 1, size=(512, 3))
+        v = np.tile([0.0, 0.0, -1.0], (512, 1))
+        near_a = np.linalg.norm(p - ca, axis=1) - ra <= np.linalg.norm(p - cb, axis=1) - rb
+        assert 0 < near_a.sum() < 512
+        expected = np.empty((512, 3))
+        for near, center, rgb in [(near_a, ca, (0.85, 0.30, 0.25)),
+                                  (~near_a, cb, (0.25, 0.45, 0.85))]:
+            n = (p[near] - center) / np.linalg.norm(p[near] - center, axis=1, keepdims=True)
+            light = np.array([0.45, 0.70, 0.55]) / np.linalg.norm([0.45, 0.70, 0.55])
+            shade = 0.25 + 0.75 * np.maximum(n @ light, 0.0)
+            expected[near] = np.clip(np.array(rgb) * shade[:, None], 0.0, 1.0)
+        np.testing.assert_allclose(make_scene("two-spheres").radiance(p, v), expected,
+                                   atol=1e-12)
 
     def test_unknown_scene_and_param(self):
         with pytest.raises(ValueError):
