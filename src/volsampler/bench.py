@@ -34,7 +34,7 @@ from .sampling import (SampleBudget, adaptive_score_grid, allocate_budgets,
                        block_uniforms, budget_sample_grid, derive_seed,
                        interval_deltas, inverse_cdf_sample_grid,
                        normalize_pdf, nucleus_support_grid,
-                       stratified_u_block)
+                       stratified_u_block, top_k_mask)
 from .scenes import BETA_MAX, BETA_MIN, SceneOracle, make_scene
 
 METHODS = ("uniform-dense", "unstratified", "stratified", "robust")
@@ -289,19 +289,25 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
 
     Background pixels (all-zero proposals) fall back to stratified-uniform
     sampling. With pipe.merge_probe, each pixel also integrates its parent
-    probe ray's coarse samples at its most informative bins, realizing the
-    probe's amortized sample share (spp_map counts the new samples only).
+    probe ray's coarse samples at the bins _probe_lift_mask picks, realizing
+    the probe's amortized sample share: a pixel's sample count is its budget
+    (spp_map counts the new samples only) plus the number of bins its parent
+    lifts that lie before the pixel's own t_far, and rows are grouped by both.
     """
     n, z = prop.pdf.shape
     height, width = pipe.camera.height, pipe.camera.width
     support = nucleus_support_grid(prop.pdf, pipe.tau)
     fallback = _fallback_rows(prop.pdf)
-    width_bins = (prop.t_far - prop.t_near) / z
 
     if pipe.merge_probe:
-        parents = parent_rows(height, width)
+        # the parent probe ray's samples (its bin_midpoints) at its lifted
+        # bins, ascending; one at or past the pixel's t_far would sit there
+        # with delta 0 and weigh nothing, so it is not taken
         probe_t = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(), z)
-        lift_bins = _probe_lift_bins(prop.probe)
+        lift_t = np.sort(np.where(_probe_lift_mask(prop.probe.weights), probe_t, np.inf),
+                         axis=1)[:, :LIFT_BINS][parent_rows(height, width)]
+        lift_count = np.sum(lift_t < prop.t_far[:, None], axis=1)
+        width_bins = (prop.t_far - prop.t_near) / z
 
     groups = []
     for s in np.unique(spp_map):
@@ -310,11 +316,17 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
             xi = block_uniforms(seed, 23, (n, int(s)))[rows]
             t, delta = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
                                           prop.t_near[rows], prop.t_far[rows], xi)
-            if pipe.merge_probe:
-                t, delta = _merge_probe_lift(t, probe_t, lift_bins[parents[rows]],
-                                             parents[rows], prop.t_near[rows],
-                                             prop.t_far[rows], width_bins[rows])
-            groups.append((rows, t, delta))
+            if not pipe.merge_probe:
+                groups.append((rows, t, delta))
+            else:
+                for c in np.unique(lift_count[rows]):
+                    sel = lift_count[rows] == c
+                    r = rows[sel]
+                    t_lift = np.maximum(lift_t[r, :c], prop.t_near[r, None])
+                    t_all = np.sort(np.concatenate([t[sel], t_lift], axis=1), axis=1)
+                    delta = np.minimum(interval_deltas(t_all, prop.t_far[r]),
+                                       width_bins[r, None])
+                    groups.append((r, t_all, delta))
         rows_bg = np.flatnonzero((spp_map == s) & fallback)
         if rows_bg.size:
             u = stratified_u_block(n, int(s), seed, 29)[rows_bg]
@@ -327,60 +339,28 @@ LIFT_BINS = 16
 LIFT_OWN_BINS = 8
 
 
-def _probe_lift_bins(probe: ProbeOutput, k: int = LIFT_BINS,
-                     own: int = LIFT_OWN_BINS, floor: float = 5e-3) -> np.ndarray:
-    """Per probe pixel, the k most informative coarse bins (index z marks
-    unused slots): the pixel's own top weight bins first, then the strongest
-    bins of the 3x3 neighborhood pool.
+def _probe_lift_mask(weights: np.ndarray, k: int = LIFT_BINS, own: int = LIFT_OWN_BINS,
+                     floor: float = 5e-3) -> np.ndarray:
+    """Per probe pixel of a (Z, H, W) weight grid, a (H*W, Z) mask of its at
+    most k most informative coarse bins, each at or above the floor in
+    normalized mass: the pixel's own top `own` bins first, then the strongest
+    bins of its 3x3 neighborhood pool.
 
     Own bins take priority so a weak graze is never crowded out by a
     neighbor's strong surface; the pool still covers silhouettes, where the
     surface depth slides several bins between adjacent parents.
     """
-    pz, ph, pw = probe.weights.shape
-    n = ph * pw
-    pdf = normalize_pdf(probe.weights.reshape(pz, -1).T)
-    grid = pdf.reshape(ph, pw, pz)
+    pz, ph, pw = weights.shape
+    grid = normalize_pdf(weights.reshape(pz, -1).T).reshape(ph, pw, pz)
     padded = np.pad(grid, ((1, 1), (1, 1), (0, 0)), mode="edge")
     pooled = grid.copy()
     for dy in range(3):
         for dx in range(3):
             np.maximum(pooled, padded[dy:dy + ph, dx:dx + pw], out=pooled)
-    pooled = pooled.reshape(n, pz)
-
-    own_order = np.argsort(-pdf, axis=1, kind="stable")[:, :own]
-    own_ok = np.take_along_axis(pdf, own_order, axis=1) >= floor
-    pool_order = np.argsort(-pooled, axis=1, kind="stable")[:, :k]
-    pool_ok = np.take_along_axis(pooled, pool_order, axis=1) >= floor
-
-    cand = np.concatenate([own_order, pool_order], axis=1)
-    ok = np.concatenate([own_ok, pool_ok], axis=1)
-    out = np.full((n, k), pz, dtype=np.int64)
-    taken = np.zeros((n, pz), dtype=bool)
-    count = np.zeros(n, dtype=np.int64)
-    ridx = np.arange(n)
-    for j in range(cand.shape[1]):
-        b = cand[:, j]
-        use = ok[:, j] & ~taken[ridx, b] & (count < k)
-        rows = np.flatnonzero(use)
-        out[rows, count[rows]] = b[rows]
-        taken[rows, b[rows]] = True
-        count[rows] += 1
-    return out
-
-
-def _merge_probe_lift(t, probe_t, bin_idx, par, t_near, t_far, width_bins):
-    """Append the parent probe ray's samples (probe_t, the probe's
-    bin_midpoints per probe pixel) at the given bins to each pixel's sample
-    set, an unused slot (bin index z) at t_far; deltas re-derived and
-    clipped."""
-    z = probe_t.shape[1]
-    t_lift = probe_t[par[:, None], np.minimum(bin_idx, z - 1)]
-    t_lift = np.where(bin_idx == z, t_far[:, None], t_lift)
-    t_lift = np.clip(t_lift, t_near[:, None], t_far[:, None])
-
-    t_all = np.sort(np.concatenate([t, t_lift], axis=1), axis=1)
-    return t_all, np.minimum(interval_deltas(t_all, t_far), width_bins[:, None])
+    pdf, pooled = grid.reshape(-1, pz), pooled.reshape(-1, pz)
+    mine = top_k_mask(pdf, np.full(len(pdf), own)) & (pdf >= floor)
+    keys = np.where(mine, np.inf, np.where(pooled >= floor, pooled, -np.inf))
+    return top_k_mask(keys, np.full(len(pdf), k)) & (keys > -np.inf)
 
 
 def coverage_mask(prop: ProposalField, height: int, width: int,

@@ -17,10 +17,10 @@ _BOX_HALF_DIAG = math.sqrt(3.0)
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Unit-normalize the last axis."""
+    """Unit-normalize the 3-vectors along the last axis."""
     v = np.asarray(v, dtype=np.float64)
-    n = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    return v / n
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return v / np.sqrt(x * x + y * y + z * z)[..., None]
 
 
 def _as_vec3(v) -> np.ndarray:

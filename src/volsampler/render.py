@@ -104,10 +104,15 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
         if t.shape[1] > 1 and np.any(np.diff(t, axis=1) < 0.0):
             raise ValueError("sample positions must be sorted ascending")
 
-    p = origins[:, None, :] + t[:, :, None] * dirs[:, None, :]
+    # one component at a time: numpy broadcasts over a last axis of 3 slowly
     n, k = t.shape
-    v = np.broadcast_to(dirs[:, None, :], (n, k, 3)).reshape(-1, 3)
-    s, beta, shade = scene.fields(p.reshape(-1, 3), v)
+    p = np.empty((n, k, 3))
+    v = np.empty((n, k, 3))
+    for c in range(3):
+        np.multiply(t, dirs[:, c, None], out=p[:, :, c])
+        p[:, :, c] += origins[:, c, None]
+        v[:, :, c] = dirs[:, c, None]
+    s, beta, shade = scene.fields(p.reshape(-1, 3), v.reshape(-1, 3))
     s = s.reshape(n, k)
     beta = beta.reshape(n, k)
 

@@ -114,7 +114,9 @@ class SceneOracle:
         if self.specular > 0.0:
             # Blinn-Phong lobe towards the viewer (v points along the ray).
             half = normalize(_LIGHT_DIR - np.asarray(v, dtype=np.float64))
-            spec = np.maximum(np.sum(n * half, axis=-1), 0.0) ** self.spec_power
+            n_half = (n[..., 0] * half[..., 0] + n[..., 1] * half[..., 1]
+                      + n[..., 2] * half[..., 2])
+            spec = np.maximum(n_half, 0.0) ** self.spec_power
             rgb = rgb + self.specular * spec[..., None]
         return np.clip(rgb, 0.0, 1.0)
 
@@ -232,7 +234,8 @@ def _build_textured_sphere(params):
     def albedo(p):
         # Soft checker in spherical angles.
         theta = np.arctan2(p[..., 0], p[..., 2])
-        radius = np.maximum(np.sqrt(np.sum(p * p, axis=-1)), 1e-9)
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        radius = np.maximum(np.sqrt(x * x + y * y + z * z), 1e-9)
         phi = np.arcsin(np.clip(p[..., 1] / radius, -1.0, 1.0))
         cval = 0.5 + 0.5 * np.tanh(4.0 * np.sin(6.0 * theta) * np.sin(6.0 * phi))
         dark = np.array([0.20, 0.22, 0.45])

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import small_camera
-from volsampler.bench import (CSV_HEADER, MetricRow, Pipeline, method_samples,
-                              parent_rows, parse_csv, prepare_proposals,
-                              robust_samples, rows_to_csv, run_bench)
+from volsampler.bench import (CSV_HEADER, MetricRow, Pipeline, _probe_lift_mask,
+                              method_samples, parent_rows, parse_csv,
+                              prepare_proposals, robust_samples, rows_to_csv,
+                              run_bench)
 from volsampler.config import Config
 from volsampler.metrics import psnr
-from volsampler.render import bin_midpoints, render_full, render_uniform
-from volsampler.sampling import adaptive_score_grid
+from volsampler.proposal import ProposalNet
+from volsampler.render import (PixelSamples, bin_midpoints, render_full,
+                               render_uniform)
+from volsampler.sampling import adaptive_score_grid, normalize_pdf
 from volsampler.scenes import make_scene
 
 
@@ -186,8 +189,7 @@ class TestProposalsAndMethods:
 
     def test_merge_lifts_parent_probe_midpoints(self):
         # every sample the merge adds is one of its parent probe ray's
-        # bin_midpoints (clipped to the pixel's own interval), or t_far for
-        # an unused slot
+        # bin_midpoints, clipped to the pixel's own interval
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
         pipe = tiny_spec(scene=sc, camera=cam)
@@ -201,17 +203,97 @@ class TestProposalsAndMethods:
         parents = parent_rows(16, 16)
         lifted = 0
         for rows, t, _ in merged.groups:
-            if t.shape[1] == 6:
-                continue  # background rows merge nothing
             for r, row_t in zip(rows, t):
                 added = list(row_t)
                 for v in own[int(r)]:
                     added.remove(v)
-                tn, tf = prop.t_near[r], prop.t_far[r]
-                allowed = np.append(np.clip(mids[parents[r]], tn, tf), tf)
+                allowed = np.clip(mids[parents[r]], prop.t_near[r], prop.t_far[r])
                 assert np.all(np.isin(added, allowed)), r
                 lifted += len(added)
         assert lifted > 0
+
+
+def _reference_lift_bins(weights, k=16, own=8, floor=5e-3):
+    """The probe-lift bin choice as a priority loop: per probe pixel, its own
+    top `own` bins at or above the floor first, then the 3x3-pooled top k at
+    or above the floor, skipping bins already taken, until k are taken."""
+    z, h, w = weights.shape
+    pdf = normalize_pdf(weights.reshape(z, -1).T).reshape(h, w, z)
+    out = []
+    for y in range(h):
+        for x in range(w):
+            own_p = pdf[y, x]
+            pool = pdf[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2].max(axis=(0, 1))
+            cand = [b for b in np.argsort(-own_p, kind="stable")[:own] if own_p[b] >= floor]
+            cand += [b for b in np.argsort(-pool, kind="stable")[:k] if pool[b] >= floor]
+            taken = []
+            for b in cand:
+                if b not in taken and len(taken) < k:
+                    taken.append(b)
+            out.append(sorted(taken))
+    return out
+
+
+def _random_probe_weights(seed):
+    """Small quantized probe weight grids: many ties, all-zero pixels, and
+    pixels whose spike pushes the rest of their bins below the floor."""
+    rng = np.random.default_rng(seed)
+    z = int(rng.choice([12, 24, 48]))
+    h, w = (int(v) for v in rng.integers(1, 7, size=2))
+    weights = rng.integers(0, 4, size=(z, h, w)).astype(float)
+    weights *= rng.random((z, h, w)) < rng.uniform(0.05, 0.6)
+    weights[:, rng.random((h, w)) < 0.2] = 0.0
+    weights[int(rng.integers(z)), rng.random((h, w)) < 0.3] += 400.0
+    return weights
+
+
+class TestProbeLift:
+    def test_mask_matches_priority_loop(self):
+        seen = {"all-zero": 0, "few above floor": 0, "full": 0}
+        for seed in range(40):
+            weights = _random_probe_weights(seed)
+            mask = _probe_lift_mask(weights)
+            want = _reference_lift_bins(weights)
+            assert [list(np.flatnonzero(m)) for m in mask] == want, seed
+            z = weights.shape[0]
+            seen["all-zero"] += int(np.sum(weights.reshape(z, -1).sum(axis=0) == 0))
+            seen["few above floor"] += sum(0 < len(b) < 16 for b in want)
+            seen["full"] += sum(len(b) == 16 for b in want)
+        assert all(v > 0 for v in seen.values()), seen
+
+    @pytest.mark.parametrize("source", ["probe-lift", "oracle-full", "checkpoint"])
+    def test_merged_width_is_budget_plus_parent_lift(self, source):
+        sc = make_scene("two-spheres", beta=0.004)
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=sc, camera=cam, proposal_source=source)
+        net = ProposalNet(z_bins=48, hidden=4, seed=0) if source == "checkpoint" else None
+        prop = prepare_proposals(pipe, net=net)
+        spp_map = np.where(np.arange(256) % 3 == 0, 6, 4).astype(np.int64)
+        samples = robust_samples(prop, spp_map, 4, pipe)
+        # the parent's lifted bins whose probe sample lies before the pixel's
+        # t_far; one past it would sit at t_far with delta 0
+        parents = parent_rows(16, 16)
+        mask = _probe_lift_mask(prop.probe.weights)[parents]
+        mids = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(), 48)
+        lifted = np.sum(mask & (mids[parents] < prop.t_far[:, None]), axis=1)
+        assert np.any(lifted < 16)  # rows the old layout padded at t_far
+
+        padded = []
+        for rows, t, delta in samples.groups:
+            if delta is None:  # background rows fall back and merge nothing
+                assert np.all(t.shape[1] == spp_map[rows])
+                padded.append((rows, t, delta))
+                continue
+            assert np.all(t.shape[1] == spp_map[rows] + lifted[rows])
+            t_far = prop.t_far[rows, None]
+            assert not np.any((t == t_far) & (delta == 0.0))
+            pad = 16 - (t.shape[1] - spp_map[rows[0]])
+            padded.append((rows, np.hstack([t, np.repeat(t_far, pad, axis=1)]),
+                           np.hstack([delta, np.zeros((rows.size, pad))])))
+        # the old layout's unused slots (at t_far, delta 0) weigh nothing
+        a = render_full(sc, cam, samples)
+        b = render_full(sc, cam, PixelSamples(16, 16, padded))
+        assert np.array_equal(a.radiance, b.radiance)
 
 
 class TestAdaptivePipeline:
