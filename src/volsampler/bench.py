@@ -54,7 +54,7 @@ class ProposalField:
     """Per-pixel proposal PDFs at full resolution plus the probe they came
     from, which renders at 1/UPSCALE of the full resolution per side."""
 
-    pdf: np.ndarray        # (N, Z) rows normalized; all-zero rows = background
+    pdf: np.ndarray        # (N, Z) C-order, rows normalized; all-zero = background
     probe: ProbeOutput
     t_near: np.ndarray     # (N,) full-res ray intervals
     t_far: np.ndarray
@@ -241,20 +241,21 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
 
     if pipe.proposal_source == "probe-lift":
         # Sampler-free fallback: each child pixel inherits its parent probe
-        # ray's distribution, blurred along bins to hedge the parallax between
-        # parent and child rays. Imperfect at depth edges by construction; the
-        # trained checkpoint source is the full-quality path.
+        # ray's row, built once per parent and blurred along bins to hedge
+        # the parallax between parent and child rays. Imperfect at depth
+        # edges by construction; the checkpoint source is the full-quality path.
         parents = parent_rows(pipe.camera.height, pipe.camera.width)
-        lifted = probe.weights.reshape(z, -1)[:, parents]
-        pdf = normalize_pdf(blur_bins(lifted, LIFT_BLUR_SIGMA).T)
+        blurred = blur_bins(probe.weights.reshape(z, -1), LIFT_BLUR_SIGMA)
+        pdf = normalize_pdf(blurred.T)[parents]
     elif pipe.proposal_source == "oracle-full":
         dense = render_probe(pipe.scene, pipe.camera, z, workers=pipe.workers)
         pdf = normalize_pdf(dense.weights.reshape(z, -1).T)
     elif pipe.proposal_source == "checkpoint":
-        pdf = net.predict(probe).reshape(z, -1).T.copy()
+        pdf = net.predict(probe).reshape(z, -1).T
     else:
         raise ConfigError(f"unknown proposal source {pipe.proposal_source!r}")
-    return ProposalField(pdf=pdf, probe=probe, t_near=t_near, t_far=t_far, z=z)
+    return ProposalField(pdf=np.ascontiguousarray(pdf), probe=probe,
+                         t_near=t_near, t_far=t_far, z=z)
 
 
 def _fallback_rows(pdf: np.ndarray) -> np.ndarray:

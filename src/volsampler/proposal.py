@@ -20,8 +20,7 @@ from .geometry import Camera
 from .nn import (AdamState, Param, adam_step, conv2d_backward, conv2d_forward,
                  he_init, relu_backward, relu_forward, softmax_ce,
                  softmax_channels, upsample_backward, upsample_forward)
-from .render import (ProbeOutput, bin_midpoints, camera_geometry,
-                     integrate_batch, render_probe)
+from .render import ProbeOutput, render_probe
 from .scenes import SceneOracle
 
 UPSCALE = 4  # two 2x bilinear stages
@@ -230,18 +229,12 @@ def patch_pixels(row: int, col: int, patch: int, height: int, width: int):
     return (row + np.arange(patch)) % height, (col + np.arange(patch)) % width
 
 
-def render_gt_patch(scene: SceneOracle, camera_full: Camera, row: int, col: int,
-                    patch: int, z_bins: int):
-    """Ground-truth dense weight patch (Z, patch, patch) at full resolution,
-    wrapping around the image edges (see patch_pixels), sampled at the
-    probe's bin midpoints."""
-    o, d, t_near, t_far = camera_geometry(camera_full)
-    h, w = camera_full.height, camera_full.width
-    r, c = patch_pixels(row, col, patch, h, w)
-    rows = (r[:, None] * w + c[None, :]).ravel()
-    t = bin_midpoints(t_near[rows], t_far[rows], z_bins)
-    out = integrate_batch(scene, o[rows], d[rows], t, t_far[rows], validate=False)
-    return out["weights"].reshape(patch, patch, z_bins).transpose(2, 0, 1)
+def render_gt_patch(truth: np.ndarray, row: int, col: int, patch: int):
+    """Ground-truth dense weight patch (Z, patch, patch) at origin (row, col)
+    of the full-resolution truth grid (Z, H, W), wrapping around the image
+    edges (see patch_pixels)."""
+    r, c = patch_pixels(row, col, patch, *truth.shape[1:])
+    return truth[:, r[:, None], c[None, :]]
 
 
 def _runs(start: int, length: int, size: int):
@@ -294,11 +287,12 @@ def backward_patch(net: ProposalNet, windows, d_patch: np.ndarray) -> None:
         net.backward(d_logits)
 
 
-def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
-               camera_full: Camera, rng: np.random.Generator,
-               cfg: TrainConfig, probe: ProbeOutput) -> float:
-    """One supervised step: random ground-truth patch, CE loss, Adam. probe
-    is the scene's probe at probe_camera(camera_full).
+def train_step(net: ProposalNet, opt: AdamState, truth: np.ndarray,
+               rng: np.random.Generator, cfg: TrainConfig,
+               probe: ProbeOutput) -> float:
+    """One supervised step: random ground-truth patch, CE loss, Adam. truth
+    is the scene's dense weight grid (Z, H, W) at full resolution, and probe
+    the scene's probe at 1/UPSCALE of it (see train).
 
     Only the patch carries loss, so the net runs on probe windows, not on the
     whole probe: each window is the patch's parent probe pixels plus a HALO
@@ -311,18 +305,17 @@ def train_step(net: ProposalNet, opt: AdamState, scene: SceneOracle,
     into the same gradients. A patch with no valid pixel carries no
     gradient: the net is not run, and Adam steps on its momentum alone.
     """
-    if camera_full.height % UPSCALE or camera_full.width % UPSCALE:
+    h, w = truth.shape[1:]
+    if h % UPSCALE or w % UPSCALE:
         raise ValueError("full resolution must be a multiple of the upscale factor")
-    if cfg.patch > min(camera_full.height, camera_full.width):
+    if cfg.patch > min(h, w):
         raise ValueError("patch must fit inside the full-resolution image")
 
-    h, w = camera_full.height, camera_full.width
     # origins are uniform over the whole image and patches wrap around its
     # edges, so each pixel lies in exactly patch**2 of the h*w equally likely
     # patches: border pixels are supervised as often as interior ones
     row, col = int(rng.integers(h)), int(rng.integers(w))
-    target = build_target(render_gt_patch(scene, camera_full, row, col,
-                                          cfg.patch, cfg.z_bins))
+    target = build_target(render_gt_patch(truth, row, col, cfg.patch))
 
     net.zero_grads()
     loss = 0.0
@@ -341,17 +334,19 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
           log_every: int = 0) -> list[float]:
     """Run cfg.steps supervised steps; returns the per-step loss history.
 
-    The probe is deterministic, so it is rendered once, on `workers`
-    threads, and every step reuses it.
+    The probe and the truth (the dense weight grid at full resolution, at
+    the probe's bin midpoints) are deterministic, so each is rendered once,
+    on `workers` threads, and every step slices its patch from the truth.
     """
     rng = np.random.default_rng(seed)
     opt = AdamState(lr=cfg.lr)
     probe = render_probe(scene, probe_camera(camera_full), cfg.z_bins,
                          workers=workers)
+    truth = render_probe(scene, camera_full, cfg.z_bins, workers=workers).weights
     losses = []
     for step in range(cfg.steps):
         opt.lr = cfg.lr_at(step)
-        loss = train_step(net, opt, scene, camera_full, rng, cfg, probe=probe)
+        loss = train_step(net, opt, truth, rng, cfg, probe=probe)
         losses.append(loss)
         if log_every and (step + 1) % log_every == 0:
             recent = np.mean(losses[-log_every:])

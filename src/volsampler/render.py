@@ -88,21 +88,17 @@ def _quadrature_weights(sigma: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
                     t: np.ndarray, t_far: np.ndarray,
-                    deltas: np.ndarray | None = None, validate: bool = True) -> dict:
+                    deltas: np.ndarray | None = None) -> dict:
     """Integrate N rays at sorted sample positions t (N, K).
 
     Returns rgb (N,3), weights (N,K), s (N,K), beta (N,K).
     The last interval is capped at the far plane unless explicit deltas are
     supplied. The weights come first; only samples with w > 0 are shaded.
+    Positions and deltas are trusted (render_full checks outside ones).
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] < 1:
         raise ValueError("need at least one sample per ray")
-    if validate:
-        if not np.all(np.isfinite(t)):
-            raise ValueError("non-finite sample positions")
-        if t.shape[1] > 1 and np.any(np.diff(t, axis=1) < 0.0):
-            raise ValueError("sample positions must be sorted ascending")
 
     # one component at a time: numpy broadcasts over a last axis of 3 slowly
     n, k = t.shape
@@ -118,8 +114,6 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
 
     if deltas is None:
         deltas = np.maximum(interval_deltas(t, t_far), 0.0)
-    elif validate and np.any(deltas < 0.0):
-        raise ValueError("deltas must be nonnegative")
 
     sigma = laplace_density(s, beta)
     weights = _quadrature_weights(sigma, deltas)
@@ -174,8 +168,7 @@ def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
     sdf = np.empty((n, z_bins))
 
     def work(lo, hi):
-        out = integrate_batch(scene, o[lo:hi], d[lo:hi], t[lo:hi], t_far[lo:hi],
-                              validate=False)
+        out = integrate_batch(scene, o[lo:hi], d[lo:hi], t[lo:hi], t_far[lo:hi])
         image[lo:hi] = out["rgb"]
         weights[lo:hi] = out["weights"]
         sdf[lo:hi] = out["s"]
@@ -191,9 +184,17 @@ def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
 
 def render_full(scene: SceneOracle, camera: Camera, samples: PixelSamples,
                 workers: int = 1) -> RenderOutput:
-    """Render with externally supplied per-pixel sample positions."""
+    """Render with externally supplied per-pixel sample positions: finite,
+    sorted ascending per pixel, with nonnegative deltas where given."""
     if samples.height != camera.height or samples.width != camera.width:
         raise ValueError("sample grid does not match camera resolution")
+    for _, t, delta in samples.groups:
+        if not np.all(np.isfinite(t)):
+            raise ValueError("non-finite sample positions")
+        if np.any(t[:, 1:] < t[:, :-1]):
+            raise ValueError("sample positions must be sorted ascending")
+        if delta is not None and np.any(delta < 0.0):
+            raise ValueError("deltas must be nonnegative")
     o, d, _, t_far = camera_geometry(camera)
     n = o.shape[0]
     radiance = np.zeros((n, 3))
@@ -265,7 +266,7 @@ def render_reference(scene: SceneOracle, camera: Camera, total: int = 384,
 
     def coarse_work(lo, hi):
         out = integrate_batch(scene, o[lo:hi], d[lo:hi], t_coarse[lo:hi],
-                              t_far[lo:hi], validate=False)
+                              t_far[lo:hi])
         coarse_edges = np.concatenate(
             [t_near[lo:hi, None], t_coarse[lo:hi], t_far[lo:hi, None]], axis=1)
         probs = np.concatenate([np.zeros((hi - lo, 1)), out["weights"]], axis=1)

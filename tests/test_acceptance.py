@@ -104,7 +104,7 @@ def _center_pixel_setup():
 def _estimate_radiance(scene, o, d, t_far, t):
     out = integrate_batch(scene, np.broadcast_to(o, (t.shape[0], 3)),
                           np.broadcast_to(d, (t.shape[0], 3)), t,
-                          np.full(t.shape[0], t_far), validate=False)
+                          np.full(t.shape[0], t_far))
     return out["rgb"].mean(axis=1)
 
 

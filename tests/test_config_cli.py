@@ -172,22 +172,29 @@ class TestCliExitCodes:
 
 class TestTrainAndCompareCli:
     def test_train_proposal_writes_checkpoint_and_losses(self, tmp_path):
+        # 192 bins, so the 16x16 truth render spans two chunks and two
+        # workers split it; the outputs must not depend on the worker count
         cfg = tmp_path / "c.cfg"
         cfg.write_text("""
 scene.name = wall
 camera.height = 16
 camera.width = 16
-render.z_bins = 16
+render.z_bins = 192
 proposal.hidden_channels = 4
 train.steps = 2
 train.patch = 8
 """)
-        out = tmp_path / "train_out"
-        assert main(["train-proposal", "--config", str(cfg),
-                     "--out-dir", str(out)]) == 0
-        assert (out / "proposal.vsmp").exists()
-        text = (out / "train_loss.csv").read_text()
-        assert text.startswith("step,loss\n") and len(text.splitlines()) == 3
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"train_out_{workers}"
+            assert main(["train-proposal", "--config", str(cfg), "--workers", workers,
+                         "--out-dir", str(out)]) == 0
+            assert (out / "proposal.vsmp").exists()
+            text = (out / "train_loss.csv").read_text()
+            assert text.startswith("step,loss\n") and len(text.splitlines()) == 3
+            outputs.append([(out / name).read_bytes()
+                            for name in ("proposal.vsmp", "train_loss.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_compare_samplers_runs_preset(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

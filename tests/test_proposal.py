@@ -14,8 +14,26 @@ from volsampler.proposal import (HALO, CheckpointError, ProposalNet,
                                  patch_pixels, probe_camera, probe_inputs,
                                  render_gt_patch, save_checkpoint,
                                  train, train_step)
-from volsampler.render import camera_geometry, render_probe
-from volsampler.scenes import make_scene
+from volsampler.render import (bin_midpoints, camera_geometry, integrate_batch,
+                               render_probe)
+from volsampler.scenes import SceneOracle, make_scene
+
+
+def per_patch_gt(scene, camera_full, row, col, patch, z_bins):
+    """Reference truth patch (Z, patch, patch): the rays of the wrapped patch
+    alone, integrated at the probe's bin midpoints."""
+    o, d, t_near, t_far = camera_geometry(camera_full)
+    h, w = camera_full.height, camera_full.width
+    r, c = patch_pixels(row, col, patch, h, w)
+    rows = (r[:, None] * w + c[None, :]).ravel()
+    t = bin_midpoints(t_near[rows], t_far[rows], z_bins)
+    out = integrate_batch(scene, o[rows], d[rows], t, t_far[rows])
+    return out["weights"].reshape(patch, patch, z_bins).transpose(2, 0, 1)
+
+
+def dense_truth(scene, cam, z_bins):
+    """The truth grid train() renders: dense weights at full resolution."""
+    return render_probe(scene, cam, z_bins).weights
 
 
 def naive_cross_entropy(phat, target_probs, valid, eps=1e-12):
@@ -237,34 +255,67 @@ class TestTrainStep:
         cam = Camera((0, 0, 2.8), (0, 0, 0), (0, 1, 0), 0.69, 18, 18)
         net = ProposalNet(z_bins=16, hidden=4)
         with pytest.raises(ValueError):
-            train_step(net, AdamState(), scene, cam, np.random.default_rng(0),
-                       TrainConfig(patch=8, z_bins=16),
+            train_step(net, AdamState(), dense_truth(scene, cam, 16),
+                       np.random.default_rng(0), TrainConfig(patch=8, z_bins=16),
                        render_probe(scene, probe_camera(cam), 16))
 
     def test_patch_larger_than_image_rejected(self):
         scene, cam, _ = self.small_setup()
         with pytest.raises(ValueError):
-            train_step(ProposalNet(z_bins=16, hidden=4), AdamState(), scene, cam,
-                       np.random.default_rng(0), TrainConfig(patch=32, z_bins=16),
+            train_step(ProposalNet(z_bins=16, hidden=4), AdamState(),
+                       dense_truth(scene, cam, 16), np.random.default_rng(0),
+                       TrainConfig(patch=32, z_bins=16),
                        render_probe(scene, probe_camera(cam), 16))
 
+    # a slice of the truth grid is bitwise the patch's own rays rendered
+    # alone, whatever rays share their batch (and with 2 workers)
+    SCENES = [("wall", 5e-3, 16, 32), ("two-spheres", 1.5e-3, 64, 24)]
+
     def test_gt_patch_matches_probe_convention(self):
-        scene = make_scene("wall", beta=5e-3)
-        cam = small_camera(16)
-        patch = render_gt_patch(scene, cam, 4, 4, 8, 32)
-        assert patch.shape == (32, 8, 8)
-        full = render_probe(scene, cam, z_bins=32)
-        np.testing.assert_allclose(patch, full.weights[:, 4:12, 4:12], atol=1e-12)
+        for name, beta, res, z in self.SCENES:
+            scene, cam = make_scene(name, beta=beta), small_camera(res)
+            truth = render_probe(scene, cam, z_bins=z, workers=2).weights
+            patch = res // 2
+            # corner, interior, bottom-right corner, last columns
+            for row, col in [(0, 0), (res // 4, res // 4 + 1),
+                             (res - patch, res - patch), (3, res - patch)]:
+                got = render_gt_patch(truth, row, col, patch)
+                assert got.shape == (z, patch, patch)
+                assert np.array_equal(got, per_patch_gt(scene, cam, row, col, patch, z))
 
     def test_gt_patch_wraps_around_image_edges(self):
-        scene = make_scene("wall", beta=5e-3)
-        cam = small_camera(16)
-        patch = render_gt_patch(scene, cam, 12, 10, 8, 32)
-        full = render_probe(scene, cam, z_bins=32)
-        rows = [12, 13, 14, 15, 0, 1, 2, 3]
-        cols = [10, 11, 12, 13, 14, 15, 0, 1]
-        np.testing.assert_allclose(patch, full.weights[:, rows][:, :, cols],
-                                   atol=1e-12)
+        for name, beta, res, z in self.SCENES:
+            scene, cam = make_scene(name, beta=beta), small_camera(res)
+            truth = render_probe(scene, cam, z_bins=z, workers=2).weights
+            patch = res // 2
+            # both edges wrap, rows wrap, columns wrap
+            for row, col in [(res - 4, res - 6), (res - 3, 5), (2, res - 1)]:
+                got = render_gt_patch(truth, row, col, patch)
+                assert np.array_equal(got, per_patch_gt(scene, cam, row, col, patch, z))
+            rows = [res - 4 + i for i in range(4)] + list(range(patch - 4))
+            cols = [res - 6 + i for i in range(6)] + list(range(patch - 6))
+            assert np.array_equal(render_gt_patch(truth, res - 4, res - 6, patch),
+                                  truth[:, rows][:, :, cols])
+
+    def test_truth_is_rendered_once_per_training(self, monkeypatch):
+        # train() sends the probe's and the full-resolution grid's points to
+        # the scene once each, however many steps it runs
+        scene, cam, _ = self.small_setup()
+        points = []
+        fields = SceneOracle.fields
+
+        def counting_fields(self, p, v):
+            points.append(len(p))
+            return fields(self, p, v)
+
+        monkeypatch.setattr(SceneOracle, "fields", counting_fields)
+        expected = (4 * 4 + 16 * 16) * 16
+        for steps in (2, 6):
+            points.clear()
+            net = ProposalNet(z_bins=16, hidden=4, seed=5)
+            train(net, scene, cam, TrainConfig(steps=steps, lr=1e-3, patch=8, z_bins=16),
+                  seed=11)
+            assert sum(points) == expected, steps
 
     def test_every_pixel_supervised_equally_often(self, monkeypatch):
         # run train_step at every patch origin it can draw: border pixels
@@ -284,21 +335,22 @@ class TestTrainStep:
         origins = []
         real_gt_patch = proposal.render_gt_patch
 
-        def recording_gt_patch(scene, cam, row, col, *args, **kwargs):
+        def recording_gt_patch(truth, row, col, *args, **kwargs):
             origins.append((row, col))
-            return real_gt_patch(scene, cam, row, col, *args, **kwargs)
+            return real_gt_patch(truth, row, col, *args, **kwargs)
 
         monkeypatch.setattr(proposal, "render_gt_patch", recording_gt_patch)
         scene, cam, cfg = self.small_setup()
         net = ProposalNet(z_bins=16, hidden=4)
         probe = render_probe(scene, small_camera(4), z_bins=16)
+        truth = dense_truth(scene, cam, 16)
         discover = ScriptedRng()
-        train_step(net, AdamState(), scene, cam, discover, cfg, probe=probe)
+        train_step(net, AdamState(), truth, discover, cfg, probe=probe)
         (row_lo, row_hi), (col_lo, col_hi) = discover.ranges
         origins.clear()
         for row in range(row_lo, row_hi):
             for col in range(col_lo, col_hi):
-                train_step(net, AdamState(), scene, cam, ScriptedRng([row, col]),
+                train_step(net, AdamState(), truth, ScriptedRng([row, col]),
                            cfg, probe=probe)
         count = np.zeros((cam.height, cam.width), dtype=int)
         for row, col in origins:
@@ -371,14 +423,15 @@ class TestPatchWindows:
         scene, net, probe = self.make_net()
         cam = small_camera(self.RES)
         cfg = TrainConfig(patch=self.PATCH, z_bins=16)
+        truth = dense_truth(scene, cam, 16)
         for row, col in self.ORIGINS:
-            train_step(net, AdamState(lr=0.0), scene, cam, FixedOrigin(row, col),
+            train_step(net, AdamState(lr=0.0), truth, FixedOrigin(row, col),
                        cfg, probe=probe)
             got = [prm.grad.copy() for prm in net.params]
 
             # reference: full-image forward, loss on the patch slice, zero
             # head gradient elsewhere, full-image backward
-            gt = render_gt_patch(scene, cam, row, col, self.PATCH, 16)
+            gt = render_gt_patch(truth, row, col, self.PATCH)
             target = build_target(gt)
             logits = net.forward(*probe_inputs(probe), keep_cache=True)
             r, c = patch_pixels(row, col, self.PATCH, self.RES, self.RES)
@@ -400,7 +453,8 @@ class TestPatchWindows:
         cam = small_camera(self.RES)
         cfg = TrainConfig(patch=self.PATCH, z_bins=16)
         opt = AdamState(lr=1e-3)
-        train_step(net, opt, scene, cam, FixedOrigin(26, 30), cfg, probe=probe)
+        train_step(net, opt, dense_truth(scene, cam, 16), FixedOrigin(26, 30), cfg,
+                   probe=probe)
         ref_net, ref_opt = copy.deepcopy(net), copy.deepcopy(opt)
 
         calls = []
@@ -412,8 +466,8 @@ class TestPatchWindows:
 
         monkeypatch.setattr(ProposalNet, "forward", counting_forward)
         behind = make_scene("wall", beta=5e-3, wall_z=-1.5)  # behind the scene box
-        loss = train_step(net, opt, behind, cam, FixedOrigin(26, 30), cfg,
-                          probe=render_probe(behind, probe_camera(cam), 16))
+        loss = train_step(net, opt, dense_truth(behind, cam, 16), FixedOrigin(26, 30),
+                          cfg, probe=render_probe(behind, probe_camera(cam), 16))
         assert loss == 0.0 and not calls
         ref_net.zero_grads()
         adam_step(ref_net.params, ref_opt)

@@ -73,8 +73,11 @@ class TestIntegrateRay:
         sc = make_scene("sphere")
         with pytest.raises(ValueError):
             integrate_batch(sc, AXIS_O, AXIS_D, np.empty((1, 0)), AXIS_FAR)
-        with pytest.raises(ValueError):
-            integrate_batch(sc, AXIS_O, AXIS_D, np.array([[2.5, 2.0]]), AXIS_FAR)
+        # render_full checks the positions that come from outside render.py
+        t = np.full((4, 2), 2.0)
+        t[2] = [2.5, 2.0]
+        with pytest.raises(ValueError, match="sorted"):
+            render_full(sc, small_camera(2), PixelSamples(2, 2, [(np.arange(4), t, None)]))
 
     def test_matches_scalar_reference_on_real_scene(self):
         sc = make_scene("two-spheres")
@@ -253,6 +256,24 @@ class TestRenderFull:
         samples = PixelSamples(4, 4, [(np.arange(16), np.full((16, 2), 2.0), None)])
         with pytest.raises(ValueError):
             render_full(sc, cam, samples)
+
+    @pytest.mark.parametrize("bad", ["nan-position", "inf-position", "negative-delta"])
+    def test_rejects_nonfinite_positions_and_negative_deltas(self, bad):
+        sc = make_scene("sphere")
+        t = np.array([[2.0, 2.5], [2.0, 2.5], [2.2, 2.9], [1.9, 3.0]])
+        delta = np.full((4, 2), 0.1)
+        if bad == "negative-delta":
+            delta[3, 1] = -1e-9
+            match = "nonnegative"
+        else:
+            t[1, 1] = np.nan if bad == "nan-position" else np.inf
+            match = "non-finite"
+        groups = [(np.arange(2), t[:2], delta[:2]), (np.arange(2, 4), t[2:], delta[2:])]
+        with pytest.raises(ValueError, match=match):
+            render_full(sc, small_camera(2), PixelSamples(2, 2, groups))
+        # the same groups without the bad entry render
+        t[1, 1], delta[3, 1] = 2.5, 0.1
+        render_full(sc, small_camera(2), PixelSamples(2, 2, groups))
 
     def test_deterministic_and_worker_invariant(self):
         sc = make_scene("blended-union")
