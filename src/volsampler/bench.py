@@ -58,7 +58,6 @@ class ProposalField:
     probe: ProbeOutput
     t_near: np.ndarray     # (N,) full-res ray intervals
     t_far: np.ndarray
-    z: int
 
 
 def parent_rows(height: int, width: int) -> np.ndarray:
@@ -140,7 +139,8 @@ class Pipeline:
         tau = cfg.get_float("sampler.tau")
         _require(0.0 < tau <= 1.0, "sampler.tau must be in (0, 1]")
         score_bins = cfg.get_int("sampler.score_bins")
-        _require(score_bins >= 1, "sampler.score_bins must be >= 1")
+        _require(1 <= score_bins < z_bins,
+                 "sampler.score_bins must be >= 1 and below render.z_bins")
         source = cfg.get("proposal.source")
         _require(source in ("probe-lift", "checkpoint", "oracle-full"),
                  "proposal.source must be probe-lift, checkpoint or oracle-full")
@@ -255,7 +255,7 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
     else:
         raise ConfigError(f"unknown proposal source {pipe.proposal_source!r}")
     return ProposalField(pdf=np.ascontiguousarray(pdf), probe=probe,
-                         t_near=t_near, t_far=t_far, z=z)
+                         t_near=t_near, t_far=t_far)
 
 
 def _fallback_rows(pdf: np.ndarray) -> np.ndarray:
@@ -294,11 +294,15 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     the probe's amortized sample share: a pixel's sample count is its budget
     (spp_map counts the new samples only) plus the number of bins its parent
     lifts that lie before the pixel's own t_far, and rows are grouped by both.
+    Without the merge every pixel lifts none. This is the one place a
+    proposal-guided sample gets its quadrature delta: the gap to the next
+    sample (the last one's to t_far), clipped to one bin width.
     """
     n, z = prop.pdf.shape
     height, width = pipe.camera.height, pipe.camera.width
     support = nucleus_support_grid(prop.pdf, pipe.tau)
     fallback = _fallback_rows(prop.pdf)
+    bin_width = (prop.t_far - prop.t_near) / z
 
     if pipe.merge_probe:
         # the parent probe ray's samples (its bin_midpoints) at its lifted
@@ -307,27 +311,25 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
         probe_t = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(), z)
         lift_t = np.sort(np.where(_probe_lift_mask(prop.probe.weights), probe_t, np.inf),
                          axis=1)[:, :LIFT_BINS][parent_rows(height, width)]
-        lift_count = np.sum(lift_t < prop.t_far[:, None], axis=1)
-        width_bins = (prop.t_far - prop.t_near) / z
+    else:
+        lift_t = np.empty((n, 0))
+    lift_count = np.sum(lift_t < prop.t_far[:, None], axis=1)
 
     groups = []
     for s in np.unique(spp_map):
         rows = np.flatnonzero((spp_map == s) & ~fallback)
         if rows.size:
             xi = block_uniforms(seed, 23, (n, int(s)))[rows]
-            t, delta = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
-                                          prop.t_near[rows], prop.t_far[rows], xi)
-            if not pipe.merge_probe:
-                groups.append((rows, t, delta))
-            else:
-                for c in np.unique(lift_count[rows]):
-                    sel = lift_count[rows] == c
-                    r = rows[sel]
-                    t_lift = np.maximum(lift_t[r, :c], prop.t_near[r, None])
-                    t_all = np.sort(np.concatenate([t[sel], t_lift], axis=1), axis=1)
-                    delta = np.minimum(interval_deltas(t_all, prop.t_far[r]),
-                                       width_bins[r, None])
-                    groups.append((r, t_all, delta))
+            t = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
+                                   prop.t_near[rows], prop.t_far[rows], xi)
+            for c in np.unique(lift_count[rows]):
+                sel = lift_count[rows] == c
+                r = rows[sel]
+                t_lift = np.maximum(lift_t[r, :c], prop.t_near[r, None])
+                t_all = np.sort(np.concatenate([t[sel], t_lift], axis=1), axis=1)
+                delta = np.minimum(interval_deltas(t_all, prop.t_far[r]),
+                                   bin_width[r, None])
+                groups.append((r, t_all, delta))
         rows_bg = np.flatnonzero((spp_map == s) & fallback)
         if rows_bg.size:
             u = stratified_u_block(n, int(s), seed, 29)[rows_bg]
@@ -380,8 +382,6 @@ def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
                              ) -> tuple[RenderOutput, np.ndarray]:
     """Full low-sample render: leftover-mass scores pick boosted pixels, robust
     stratified sampling draws each pixel's budget. Returns (render, spp map)."""
-    _require(pipe.score_bins < pipe.z_bins,
-             "sampler.score_bins must be below render.z_bins")
     h, w = pipe.camera.height, pipe.camera.width
     scores = adaptive_score_grid(prop.pdf, pipe.score_bins)
     scores = (scores * coverage_mask(prop, h, w)).reshape(h, w)
@@ -390,8 +390,7 @@ def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
     return render_full(pipe.scene, pipe.camera, samples, workers=pipe.workers), spp_map
 
 
-def run_bench(pipe: Pipeline, out_dir=None, write_previews: bool = True
-              ) -> tuple[list[MetricRow], str]:
+def run_bench(pipe: Pipeline, out_dir=None) -> tuple[list[MetricRow], str]:
     """Run the benchmark matrix and return (rows, csv_text).
 
     With out_dir set, writes bench.csv plus PFM/PPM previews of trial 0.
@@ -436,11 +435,10 @@ def run_bench(pipe: Pipeline, out_dir=None, write_previews: bool = True
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "bench.csv").write_text(csv_text, encoding="ascii")
-        if write_previews:
-            write_pfm(out_path / "reference.pfm", reference.radiance)
-            write_ppm(out_path / "reference.ppm", reference.radiance)
-            for (method, spp), img in previews.items():
-                stem = f"{scene.name}_{method}_spp{spp}"
-                write_pfm(out_path / f"{stem}.pfm", img)
-                write_ppm(out_path / f"{stem}.ppm", img)
+        write_pfm(out_path / "reference.pfm", reference.radiance)
+        write_ppm(out_path / "reference.ppm", reference.radiance)
+        for (method, spp), img in previews.items():
+            stem = f"{scene.name}_{method}_spp{spp}"
+            write_pfm(out_path / f"{stem}.pfm", img)
+            write_ppm(out_path / f"{stem}.ppm", img)
     return rows, csv_text

@@ -1,7 +1,7 @@
 """Geometry regularizers evaluated on rendered outputs.
 
 Pure reductions: the surface-tightness penalty on the rendered variance image
-B, the SDF decision-boundary penalty on probe SDF samples, and their weighted
+B, the SDF decision-boundary penalty on SDF samples, and their weighted
 aggregate. The B target anneals linearly from a soft start value towards a
 small positive floor.
 """

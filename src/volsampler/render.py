@@ -41,12 +41,11 @@ class RenderOutput:
 
 @dataclass
 class ProbeOutput:
-    """Low-resolution probe: image, weight grid, SDF grid, ray intervals and
+    """Low-resolution probe: image, weight grid, ray intervals and
     directions. Sample j of a probe ray lies at its bin_midpoints."""
 
     image: np.ndarray    # (H, W, 3)
     weights: np.ndarray  # (Z, H, W)
-    sdf: np.ndarray      # (Z, H, W)
     t_near: np.ndarray   # (H, W)
     t_far: np.ndarray    # (H, W)
     dirs: np.ndarray     # (H, W, 3)
@@ -91,7 +90,7 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
                     deltas: np.ndarray | None = None) -> dict:
     """Integrate N rays at sorted sample positions t (N, K).
 
-    Returns rgb (N,3), weights (N,K), s (N,K), beta (N,K).
+    Returns rgb (N,3), weights (N,K), beta (N,K).
     The last interval is capped at the far plane unless explicit deltas are
     supplied. The weights come first; only samples with w > 0 are shaded.
     Positions and deltas are trusted (render_full checks outside ones).
@@ -125,7 +124,7 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
         rgb_samples = np.zeros((n * k, 3))
         rgb_samples[rows] = shade(rows)
     rgb = np.sum(weights[:, :, None] * rgb_samples.reshape(n, k, 3), axis=1)
-    return {"rgb": rgb, "weights": weights, "s": s, "beta": beta}
+    return {"rgb": rgb, "weights": weights, "beta": beta}
 
 
 def _run_chunks(fn, n: int, workers: int, samples_per_ray: int) -> None:
@@ -165,19 +164,16 @@ def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
 
     image = np.empty((n, 3))
     weights = np.empty((n, z_bins))
-    sdf = np.empty((n, z_bins))
 
     def work(lo, hi):
         out = integrate_batch(scene, o[lo:hi], d[lo:hi], t[lo:hi], t_far[lo:hi])
         image[lo:hi] = out["rgb"]
         weights[lo:hi] = out["weights"]
-        sdf[lo:hi] = out["s"]
 
     _run_chunks(work, n, workers, z_bins)
     h, w = camera.height, camera.width
     return ProbeOutput(image=image.reshape(h, w, 3),
                        weights=weights.reshape(h, w, z_bins).transpose(2, 0, 1),
-                       sdf=sdf.reshape(h, w, z_bins).transpose(2, 0, 1),
                        t_near=t_near.reshape(h, w), t_far=t_far.reshape(h, w),
                        dirs=d.reshape(h, w, 3))
 

@@ -2,10 +2,12 @@
 
 Covers inverse-CDF sampling, stratified variates, the nucleus-style robust
 filter (minimal bin set holding tau of the mass, sampled uniformly),
-per-stratum sample budgeting with bin-width delta clipping, and the adaptive
-per-pixel budget allocation driven by leftover probability mass. A budget
-below a pixel's support size samples an evenly thinned support, one sample
-per kept bin; budget_sample_grid makes that decision.
+per-stratum sample budgeting, and the adaptive per-pixel budget allocation
+driven by leftover probability mass. A budget below a pixel's support size
+samples an evenly thinned support, one sample per kept bin;
+budget_sample_grid makes that decision. It returns positions only: the
+quadrature deltas are set where the samples are assembled
+(bench.robust_samples).
 
 Every operation is pure given explicit random variates; image-scale paths
 take precomputed variate blocks so results are independent of worker count
@@ -120,19 +122,23 @@ def inverse_cdf_sample_edges(probs: np.ndarray, edges: np.ndarray,
     return np.sort(t, axis=1)
 
 
-def top_k_mask(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Boolean masks (N, Z) of the k[i] largest keys of each row, ties towards
-    lower index: the bins ranked below k[i] by a stable descending sort.
-
-    The k-th largest key is a threshold; every key above it is kept, and of
-    the keys equal to it only the first ones, up to the room left.
-    """
-    n, z = keys.shape
-    thr = np.sort(keys, axis=1)[np.arange(n), np.clip(z - k, 0, z - 1)][:, None]
+def _top_k_at(keys: np.ndarray, thr: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The top-k masks given each row's k-th largest key thr (N,): every key
+    above it is kept, and of the keys equal to it only the first ones, up to
+    the room left."""
+    thr = thr[:, None]
     above = keys > thr
     tie = keys == thr
     room = k - above.sum(axis=1)
     return above | (tie & (np.cumsum(tie, axis=1) <= room[:, None]))
+
+
+def top_k_mask(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Boolean masks (N, Z) of the k[i] largest keys of each row, ties towards
+    lower index: the bins ranked below k[i] by a stable descending sort."""
+    n, z = keys.shape
+    thr = np.sort(keys, axis=1)[np.arange(n), np.clip(z - k, 0, z - 1)]
+    return _top_k_at(keys, thr, k)
 
 
 def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
@@ -142,14 +148,15 @@ def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0, 1]")
     p = np.asarray(probs, dtype=np.float64)
-    z = p.shape[1]
-    cum = np.cumsum(np.sort(p, axis=1)[:, ::-1], axis=1)
+    n, z = p.shape
+    ascending = np.sort(p, axis=1)
+    cum = np.cumsum(ascending[:, ::-1], axis=1)
     total = np.maximum(cum[:, -1:], 1e-300)
     # smallest k with cum[k-1] >= tau (within float slack); all-zero rows keep 1 bin
     reached = cum >= tau * total - 1e-12
     k = np.argmax(reached, axis=1) + 1
     k = np.where(reached.any(axis=1), k, z)
-    return top_k_mask(p, k)
+    return _top_k_at(p, ascending[np.arange(n), z - k], k)
 
 
 def _thin_support(support: np.ndarray, s: int) -> np.ndarray:
@@ -187,14 +194,14 @@ def interval_deltas(t: np.ndarray, t_far: np.ndarray) -> np.ndarray:
 
 def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
                        t_near: np.ndarray, t_far: np.ndarray,
-                       xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                       xi: np.ndarray) -> np.ndarray:
     """Stratified samples from robust supports at a flat budget of s per row.
 
-    support, phat: (N, Z); xi: (N, s) uniforms. Returns (t, delta), both
-    (N, s), t sorted per row, delta clipped to the bin width. A support of
-    more than s bins is thinned to s evenly spaced bins with one sample each,
-    so the budget still spans the whole support instead of chasing its
-    largest bins.
+    support, phat: (N, Z) over Z equal-width bins of each [t_near, t_far];
+    xi: (N, s) uniforms. Returns the positions t (N, s), sorted per row. A
+    support of more than s bins is thinned to s evenly spaced bins with one
+    sample each, so the budget still spans the whole support instead of
+    chasing its largest bins.
     """
     if s < 1:
         raise ValueError("need s >= 1")
@@ -207,22 +214,18 @@ def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
     if not np.all(alloc.sum(axis=1) == s):
         raise AssertionError("allocation must sum to the budget")
 
-    cum = np.cumsum(alloc, axis=1)
-    ks = np.broadcast_to(np.arange(s), (n, s))
-    stride = float(s + 1)
-    flat = np.searchsorted((cum + stride * np.arange(n)[:, None]).ravel(),
-                           (ks + stride * np.arange(n)[:, None]).ravel(), side="right")
-    bin_idx = flat.reshape(n, s) - np.arange(n)[:, None] * z
-    bin_idx = np.clip(bin_idx, 0, z - 1)
-
-    before = np.take_along_axis(cum, bin_idx, axis=1) - np.take_along_axis(alloc, bin_idx, axis=1)
-    j = ks - before
-    m = np.take_along_axis(alloc, bin_idx, axis=1)
+    # sample k of a row is sample j of the m in its bin, bins ascending; the
+    # rows sum to s, so row i's samples are items i*s .. i*s+s-1 of the runs
+    counts = alloc.ravel()
+    cells = np.flatnonzero(counts)
+    m = counts[cells]
+    first = np.cumsum(m) - m
+    bin_idx = np.repeat(cells % z, m).reshape(n, s)
+    j = (np.arange(n * s) - np.repeat(first, m)).reshape(n, s)
+    m = np.repeat(m, m).reshape(n, s)
 
     width = (t_far - t_near)[:, None] / z
-    t = t_near[:, None] + (bin_idx + (j + xi) / m) * width
-
-    return t, np.minimum(interval_deltas(t, t_far), width)
+    return t_near[:, None] + (bin_idx + (j + xi) / m) * width
 
 
 def adaptive_score_grid(probs: np.ndarray, k: int = 16) -> np.ndarray:

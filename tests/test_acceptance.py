@@ -146,8 +146,8 @@ def test_c4_mode_coverage():
         support[:, mode_b] = True
         phat = normalize_pdf(support.astype(float))
         xi = block_uniforms(5, 9, (trials, s))
-        t, _ = budget_sample_grid(support, phat, s, np.zeros(trials),
-                                  np.ones(trials), xi)
+        t = budget_sample_grid(support, phat, s, np.zeros(trials),
+                               np.ones(trials), xi)
         b = np.clip((t * z).astype(int), 0, z - 1)
         in_a = ((b >= 40) & (b < 44)).any(axis=1)
         in_b = ((b >= 120) & (b < 124)).any(axis=1)

@@ -174,6 +174,30 @@ class TestProposalsAndMethods:
         out = render_full(sc, cam, samples)
         assert np.all(np.isfinite(out.radiance))
 
+    @pytest.mark.parametrize("merge", [False, True], ids=["merge-off", "merge-on"])
+    def test_every_delta_is_the_gap_clipped_to_a_bin(self, merge):
+        # robust_samples sets each delta once, after the merge: the gap to
+        # the next sample (the last one's to t_far), at most one bin width
+        sc = make_scene("two-spheres", beta=0.004)
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=sc, camera=cam, merge_probe=merge)
+        prop = prepare_proposals(pipe)
+        spp_map = np.where(np.arange(256) % 3 == 0, 12, 3).astype(np.int64)
+        samples = robust_samples(prop, spp_map, 4, pipe)
+        width = (prop.t_far - prop.t_near) / 48
+        clipped = unclipped = 0
+        for rows, t, delta in samples.groups:
+            if delta is None:  # background rows take the default spacing rule
+                continue
+            if not merge:
+                assert np.all(t.shape[1] == spp_map[rows])
+            gap = np.hstack([np.diff(t, axis=1), prop.t_far[rows, None] - t[:, -1:]])
+            cap = width[rows, None]
+            assert np.array_equal(delta, np.minimum(gap, cap))
+            clipped += np.count_nonzero(gap > cap)
+            unclipped += np.count_nonzero(gap < cap)
+        assert clipped > 0 and unclipped > 0
+
     def test_merge_probe_appends_parent_coarse_positions(self):
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
@@ -199,7 +223,7 @@ class TestProposalsAndMethods:
         merged = robust_samples(prop, spp_map, 4, replace(pipe, merge_probe=True))
         own = {int(r): t for rows, t, _ in plain.groups for r, t in zip(rows, t)}
         mids = bin_midpoints(prop.probe.t_near.ravel(), prop.probe.t_far.ravel(),
-                             prop.z)
+                             prop.pdf.shape[1])
         parents = parent_rows(16, 16)
         lifted = 0
         for rows, t, _ in merged.groups:

@@ -56,12 +56,12 @@ AXIS_FAR = np.array([3.8])
 class TestIntegrateRay:
     def test_opaque_single_sample(self):
         sc = make_scene("sphere", beta=1e-4)
-        out = integrate_batch(sc, AXIS_O, AXIS_D, np.array([[2.8]]), AXIS_FAR)  # center: s=-1
+        out = integrate_batch(sc, AXIS_O, AXIS_D, np.array([[2.8]]), AXIS_FAR)
+        assert sc.sdf(AXIS_O + 2.8 * AXIS_D)[0] == pytest.approx(-1.0)  # the center
         assert out["weights"][0, 0] == pytest.approx(1.0, abs=1e-12)
         expected_rgb = sc.radiance(np.array([[0.0, 0.0, 0.0]]),
                                    np.array([[0.0, 0.0, -1.0]]))[0]
         np.testing.assert_allclose(out["rgb"][0], expected_rgb, atol=1e-12)
-        assert out["s"][0, 0] == pytest.approx(-1.0)
 
     def test_vacuum_all_weights_zero(self):
         out = integrate_batch(vacuum_scene(), AXIS_O, AXIS_D,
@@ -84,8 +84,7 @@ class TestIntegrateRay:
         t = np.linspace(1.85, 3.7, 48)
         out = integrate_batch(sc, AXIS_O, AXIS_D, t[None], AXIS_FAR)
         w = out["weights"][0]
-        from volsampler.scenes import laplace_density
-        sigma = laplace_density(out["s"][0], out["beta"][0])
+        sigma = laplace_density(sc.sdf(AXIS_O + t[:, None] * AXIS_D), out["beta"][0])
         delta = np.append(np.diff(t), 3.8 - t[-1])
         ref_w, _ = reference_weights(sigma, delta)
         np.testing.assert_allclose(w, ref_w, atol=1e-12)
@@ -142,7 +141,7 @@ class TestLiveShading:
         if name == "two-spheres":
             assert (~live.any(axis=1)).sum() > n // 4 and live.any()
         elif name == "sphere":
-            tau = laplace_density(out["s"], out["beta"]) * np.diff(
+            tau = laplace_density(sc.sdf(p).reshape(n, k), out["beta"]) * np.diff(
                 np.concatenate([t, t_far[:, None]], axis=1), axis=1)
             trans = np.exp(-(np.cumsum(tau, axis=1) - tau))
             assert np.any(live.any(axis=1) & (trans == 0.0).any(axis=1))
@@ -202,25 +201,17 @@ class TestRenderProbe:
         # 192 bins at 128x128 cost the same as 12 per pixel at 512x512
         assert 192 * 128 * 128 == 12 * 512 * 512
 
-    def test_sdf_tensor_recorded(self):
-        sc = make_scene("sphere")
-        probe = render_probe(sc, small_camera(8), z_bins=32)
-        assert probe.sdf.shape == (32, 8, 8)
-        # center ray passes through the sphere: some samples must be inside
-        assert probe.sdf[:, 4, 4].min() < 0.0
-
     def test_samples_at_bin_midpoints(self):
-        sc = make_scene("sphere")
+        rec = RecordingScene.of(make_scene("sphere"))
         cam = small_camera(8)
-        probe = render_probe(sc, cam, z_bins=32)
+        render_probe(rec, cam, z_bins=32)
         o, d, t_near, t_far = camera_geometry(cam)
         t = bin_midpoints(t_near, t_far, 32)
         np.testing.assert_allclose(t[:, 0] + t[:, -1], t_near + t_far, rtol=1e-15)
         width = ((t_far - t_near) / 32)[:, None]
         np.testing.assert_allclose(np.diff(t, axis=1) - width, 0.0, atol=1e-14)
         p = o[:, None, :] + t[:, :, None] * d[:, None, :]
-        sdf = sc.sdf(p.reshape(-1, 3)).reshape(8, 8, 32).transpose(2, 0, 1)
-        assert np.array_equal(probe.sdf, sdf)
+        assert np.array_equal(np.concatenate(rec.seen["fields"]), p.reshape(-1, 3))
 
 
 class TestRenderFull:

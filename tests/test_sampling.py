@@ -129,8 +129,8 @@ class TestNucleusFilter:
         mask = nucleus_support_grid(p[None], tau=0.98)
         assert set(np.flatnonzero(mask[0]).tolist()) == {0, 1, 2}
         # sampled uniformly: a budget of 3 puts one sample on each kept bin
-        t, _ = budget_sample_grid(mask, p[None], 3, np.zeros(1), np.ones(1),
-                                  np.full((1, 3), 0.5))
+        t = budget_sample_grid(mask, p[None], 3, np.zeros(1), np.ones(1),
+                               np.full((1, 3), 0.5))
         counts = np.histogram(t[0], bins=np.linspace(0.0, 1.0, 5))[0]
         np.testing.assert_array_equal(counts, [1, 1, 1, 0])
 
@@ -166,6 +166,26 @@ class TestNucleusFilter:
     def test_tie_break_prefers_lower_index(self):
         mask = nucleus_support_grid(np.full((1, 4), 0.25), tau=0.5)[0]
         assert np.flatnonzero(mask).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_quantized_ties_match_top_k_mask(self, seed):
+        # few distinct masses put the k-th largest among ties in many rows;
+        # the nucleus must keep exactly top_k_mask's bins for its own k
+        rng = np.random.default_rng(seed)
+        n, z = 256, int(rng.integers(4, 40))
+        p = rng.integers(0, int(rng.integers(2, 6)), (n, z)).astype(np.float64)
+        p[:8] = 0.0  # all-zero rows keep one bin
+        p[8:16] = 1.0  # flat rows: the lowest-index bins win every tie
+        p = normalize_pdf(p)
+        tau = float(rng.uniform(0.3, 1.0))
+        mask = nucleus_support_grid(p, tau)
+        k = mask.sum(axis=1)
+        assert np.array_equal(mask, top_k_mask(p, k))
+        assert np.all(k[:8] == 1)
+        assert np.all(mask[:16] == (np.arange(z) < k[:16, None]))
+        # in many rows the k-th largest mass is tied with a bin left out
+        kth = np.sort(p, axis=1)[np.arange(n), z - k]
+        assert np.sum(np.any((p == kth[:, None]) & ~mask, axis=1)) > n // 4
 
 
 def _stable_rank_mask(keys, k):
@@ -205,15 +225,15 @@ class TestBudgetSampling:
         # s=10 over c=4 strata: floor gives 2 each, the 2 extras go to the
         # two largest-phat support bins -> counts (3,3,2,2) by phat rank
         phat = np.array([[0, 0.4, 0.3, 0, 0.2, 0.1, 0, 0]])
-        t, delta = budget_sample_grid(phat > 0, phat, 10, np.zeros(1), np.ones(1),
-                                      rng.random((1, 10)))
+        t = budget_sample_grid(phat > 0, phat, 10, np.zeros(1), np.ones(1),
+                               rng.random((1, 10)))
         np.testing.assert_array_equal(_bin_counts(t[0], 8), [0, 3, 3, 0, 2, 2, 0, 0])
 
     def test_one_sample_per_stratum_when_equal(self, rng):
         phat = np.zeros((1, 8))
         phat[0, [0, 3, 7]] = 1 / 3
-        t, _ = budget_sample_grid(phat > 0, phat, 3, np.zeros(1), np.ones(1),
-                                  rng.random((1, 3)))
+        t = budget_sample_grid(phat > 0, phat, 3, np.zeros(1), np.ones(1),
+                               rng.random((1, 3)))
         np.testing.assert_array_equal(_bin_counts(t[0], 8), [1, 0, 0, 1, 0, 0, 0, 1])
 
     def test_under_budget_thins_support_evenly(self, rng):
@@ -222,8 +242,8 @@ class TestBudgetSampling:
         z = 64
         phat = np.zeros((1, z))
         phat[0, [1, 2, 5, 6]] = [0.1, 0.5, 0.3, 0.1]
-        t, _ = budget_sample_grid(phat > 0, phat, 2, np.zeros(1), np.ones(1),
-                                  rng.random((1, 2)))
+        t = budget_sample_grid(phat > 0, phat, 2, np.zeros(1), np.ones(1),
+                               rng.random((1, 2)))
         counts = _bin_counts(t[0], z)
         assert np.flatnonzero(counts).tolist() == [1, 6] and counts.max() == 1
 
@@ -234,13 +254,12 @@ class TestBudgetSampling:
         support[1, [3, 9]] = True
         phat = normalize_pdf(support * rng.random((2, z)))
         xi = rng.random((2, 4))
-        t, delta = budget_sample_grid(support, phat, 4, np.zeros(2), np.ones(2), xi)
+        t = budget_sample_grid(support, phat, 4, np.zeros(2), np.ones(2), xi)
         counts = _bin_counts(t[0], z)
         assert np.flatnonzero(counts).tolist() == [20, 23, 26, 29] and counts.max() == 1
         alone = budget_sample_grid(support[1:], phat[1:], 4, np.zeros(1), np.ones(1),
                                    xi[1:])
-        np.testing.assert_array_equal(t[1], alone[0][0])
-        np.testing.assert_array_equal(delta[1], alone[1][0])
+        np.testing.assert_array_equal(t[1], alone[0])
 
     def test_bimodal_support_covers_both_modes(self):
         # two disjoint runs; s >= c means every stratum gets >= 1 sample
@@ -250,21 +269,23 @@ class TestBudgetSampling:
         phat = normalize_pdf(support.astype(float))
         for trial in range(100):
             xi = block_uniforms(trial, 0, (1, 8))
-            t, _ = budget_sample_grid(support, phat, 8, np.zeros(1), np.ones(1), xi)
+            t = budget_sample_grid(support, phat, 8, np.zeros(1), np.ones(1), xi)
             b = (t[0] * 64).astype(int)
             assert np.any((b >= 10) & (b < 14)) and np.any((b >= 40) & (b < 44))
 
-    def test_sorted_within_support_and_delta_clipped(self, rng):
+    def test_sorted_within_support(self, rng):
+        # deltas are not set here: robust_samples sets them once, after the
+        # probe merge (test_bench's test_every_delta_is_the_gap_clipped_to_a_bin)
         z = 16
         support = np.zeros((1, z), dtype=bool)
         support[0, [2, 3, 9, 10, 11]] = True
         phat = normalize_pdf(support.astype(float) * rng.random(z))
         xi = rng.random((1, 13))
-        t, delta = budget_sample_grid(support, phat, 13, np.array([2.0]),
-                                      np.array([4.0]), xi)
+        t = budget_sample_grid(support, phat, 13, np.array([2.0]),
+                               np.array([4.0]), xi)
         width = 2.0 / z
+        assert t.shape == (1, 13)
         assert np.all(np.diff(t[0]) >= 0)
-        assert np.all(delta[0] <= width + 1e-12)
         b = ((t[0] - 2.0) / width).astype(int)
         assert set(b.tolist()) <= {2, 3, 9, 10, 11}
 
