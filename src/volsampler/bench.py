@@ -44,11 +44,6 @@ CSV_HEADER = "method,spp,trial,psnr,worst10,worst1,worst01,ms"
 LIFT_BLUR_SIGMA = 1.0  # probe-lift's Gaussian blur along depth, in bins
 
 
-class MissingCheckpointError(RuntimeError):
-    """Raised when proposal.source=checkpoint has no usable checkpoint file:
-    none named, none at the path, or a malformed one."""
-
-
 @dataclass
 class ProposalField:
     """Per-pixel proposal PDFs at full resolution plus the probe they came
@@ -213,17 +208,19 @@ _TRAIN_HINT = ("train one with `volsampler train-proposal`, or set "
 
 
 def _load_net(pipe: Pipeline) -> ProposalNet:
+    """The configured checkpoint's net; CheckpointError when there is none
+    named, none at the path, or a malformed one."""
     if not pipe.checkpoint:
-        raise MissingCheckpointError(
+        raise CheckpointError(
             f"proposal.source=checkpoint needs proposal.checkpoint; {_TRAIN_HINT}")
     net = ProposalNet(z_bins=pipe.z_bins, hidden=pipe.hidden_channels)
     try:
         load_checkpoint(net, pipe.checkpoint)
     except FileNotFoundError:
-        raise MissingCheckpointError(
+        raise CheckpointError(
             f"checkpoint {pipe.checkpoint!r} not found; {_TRAIN_HINT}") from None
     except CheckpointError as e:
-        raise MissingCheckpointError(
+        raise CheckpointError(
             f"checkpoint {pipe.checkpoint!r} is unusable: {e}") from None
     return net
 
@@ -340,14 +337,14 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
 
 LIFT_BINS = 16
 LIFT_OWN_BINS = 8
+LIFT_FLOOR = 5e-3  # least normalized probe mass of a lifted bin
 
 
-def _probe_lift_mask(weights: np.ndarray, k: int = LIFT_BINS, own: int = LIFT_OWN_BINS,
-                     floor: float = 5e-3) -> np.ndarray:
+def _probe_lift_mask(weights: np.ndarray) -> np.ndarray:
     """Per probe pixel of a (Z, H, W) weight grid, a (H*W, Z) mask of its at
-    most k most informative coarse bins, each at or above the floor in
-    normalized mass: the pixel's own top `own` bins first, then the strongest
-    bins of its 3x3 neighborhood pool.
+    most LIFT_BINS most informative coarse bins, each at or above LIFT_FLOOR
+    in normalized mass: the pixel's own top LIFT_OWN_BINS bins first, then
+    the strongest bins of its 3x3 neighborhood pool.
 
     Own bins take priority so a weak graze is never crowded out by a
     neighbor's strong surface; the pool still covers silhouettes, where the
@@ -361,13 +358,15 @@ def _probe_lift_mask(weights: np.ndarray, k: int = LIFT_BINS, own: int = LIFT_OW
         for dx in range(3):
             np.maximum(pooled, padded[dy:dy + ph, dx:dx + pw], out=pooled)
     pdf, pooled = grid.reshape(-1, pz), pooled.reshape(-1, pz)
-    mine = top_k_mask(pdf, np.full(len(pdf), own)) & (pdf >= floor)
-    keys = np.where(mine, np.inf, np.where(pooled >= floor, pooled, -np.inf))
-    return top_k_mask(keys, np.full(len(pdf), k)) & (keys > -np.inf)
+    mine = top_k_mask(pdf, np.full(len(pdf), LIFT_OWN_BINS)) & (pdf >= LIFT_FLOOR)
+    keys = np.where(mine, np.inf, np.where(pooled >= LIFT_FLOOR, pooled, -np.inf))
+    return top_k_mask(keys, np.full(len(pdf), LIFT_BINS)) & (keys > -np.inf)
 
 
-def coverage_mask(prop: ProposalField, height: int, width: int,
-                  threshold: float = 0.05) -> np.ndarray:
+COVERAGE_OPACITY = 0.05  # least parent probe opacity of a covered pixel
+
+
+def coverage_mask(prop: ProposalField, height: int, width: int) -> np.ndarray:
     """Pixels whose own parent probe ray carries opacity.
 
     Empty rays render black at any budget and their proposals are never
@@ -375,7 +374,7 @@ def coverage_mask(prop: ProposalField, height: int, width: int,
     uncertain pixels that deserve the boost share a parent with real signal.
     """
     acc = prop.probe.weights.sum(axis=0).ravel()
-    return acc[parent_rows(height, width)] > threshold
+    return acc[parent_rows(height, width)] > COVERAGE_OPACITY
 
 
 def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
@@ -390,6 +389,17 @@ def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
     return render_full(pipe.scene, pipe.camera, samples, workers=pipe.workers), spp_map
 
 
+def render_method(pipe: Pipeline, prop: ProposalField | None, method: str,
+                  spp: int, seed: int) -> RenderOutput:
+    """One frame of a flat-budget method at spp samples per pixel;
+    uniform-dense needs no proposal, and prop may then be None."""
+    if method == "uniform-dense":
+        return render_uniform(pipe.scene, pipe.camera, spp, seed=seed,
+                              workers=pipe.workers)
+    samples = method_samples(method, prop, spp, seed, pipe)
+    return render_full(pipe.scene, pipe.camera, samples, workers=pipe.workers)
+
+
 def run_bench(pipe: Pipeline, out_dir=None) -> tuple[list[MetricRow], str]:
     """Run the benchmark matrix and return (rows, csv_text).
 
@@ -399,8 +409,7 @@ def run_bench(pipe: Pipeline, out_dir=None) -> tuple[list[MetricRow], str]:
 
     from .imageio import write_pfm, write_ppm
 
-    scene, camera = pipe.scene, pipe.camera
-    reference = render_reference(scene, camera, pipe.reference_spp,
+    reference = render_reference(pipe.scene, pipe.camera, pipe.reference_spp,
                                  seed=derive_seed(pipe.seed, 999),
                                  workers=pipe.workers)
     prop = (prepare_proposals(pipe)
@@ -413,12 +422,7 @@ def run_bench(pipe: Pipeline, out_dir=None) -> tuple[list[MetricRow], str]:
             for trial in range(pipe.trials):
                 seed_t = derive_seed(pipe.seed, _METHOD_IDS[method], spp, trial)
                 t0 = time.perf_counter()
-                if method == "uniform-dense":
-                    out = render_uniform(scene, camera, spp, mode="stratified",
-                                         seed=seed_t, workers=pipe.workers)
-                else:
-                    samples = method_samples(method, prop, spp, seed_t, pipe)
-                    out = render_full(scene, camera, samples, workers=pipe.workers)
+                out = render_method(pipe, prop, method, spp, seed_t)
                 ms = 0.0 if pipe.deterministic else (time.perf_counter() - t0) * 1e3
                 rows.append(MetricRow(
                     method=method, spp=spp, trial=trial,
@@ -438,7 +442,7 @@ def run_bench(pipe: Pipeline, out_dir=None) -> tuple[list[MetricRow], str]:
         write_pfm(out_path / "reference.pfm", reference.radiance)
         write_ppm(out_path / "reference.ppm", reference.radiance)
         for (method, spp), img in previews.items():
-            stem = f"{scene.name}_{method}_spp{spp}"
+            stem = f"{pipe.scene.name}_{method}_spp{spp}"
             write_pfm(out_path / f"{stem}.pfm", img)
             write_ppm(out_path / f"{stem}.ppm", img)
     return rows, csv_text

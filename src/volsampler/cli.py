@@ -16,12 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (METHODS, MissingCheckpointError, Pipeline,
-                    adaptive_pipeline_render, method_samples, prepare_proposals,
-                    run_bench)
+from .bench import (METHODS, Pipeline, adaptive_pipeline_render,
+                    prepare_proposals, render_method, run_bench)
 from .config import Config, ConfigError
-from .proposal import ProposalNet, save_checkpoint, train
-from .render import render_full, render_uniform
+from .proposal import CheckpointError, ProposalNet, save_checkpoint, train
 from .scenes import SCENE_NAMES
 
 EXIT_OK = 0
@@ -86,22 +84,16 @@ def cmd_render(args) -> int:
     if args.spp < 1:
         raise ConfigError("render --spp must be >= 1")
     pipe = _pipeline(args)
-    scene, camera = pipe.scene, pipe.camera
+    scene = pipe.scene
     out = _out_dir(args)
 
-    if args.method == "uniform-dense":
-        result = render_uniform(scene, camera, args.spp, seed=args.seed,
-                                workers=pipe.workers)
-        spp_note = f"{args.spp}"
+    prop = None if args.method == "uniform-dense" else prepare_proposals(pipe)
+    if args.method == "adaptive":
+        result, spp_map = adaptive_pipeline_render(pipe, prop)
+        spp_note = f"mean {spp_map.mean():.1f}"
     else:
-        prop = prepare_proposals(pipe)
-        if args.method == "adaptive":
-            result, spp_map = adaptive_pipeline_render(pipe, prop)
-            spp_note = f"mean {spp_map.mean():.1f}"
-        else:
-            samples = method_samples(args.method, prop, args.spp, args.seed, pipe)
-            result = render_full(scene, camera, samples, workers=pipe.workers)
-            spp_note = f"{args.spp}"
+        result = render_method(pipe, prop, args.method, args.spp, args.seed)
+        spp_note = f"{args.spp}"
 
     stem = f"{scene.name}_{args.method}"
     write_pfm(out / f"{stem}.pfm", result.radiance)
@@ -159,6 +151,7 @@ def cmd_compare(args) -> int:
 
 def cmd_info(args) -> int:
     cfg = Config.load(args.config)
+    Pipeline.from_config(cfg)  # an invalid config exits 2, as in every subcommand
     print(f"volsampler {__version__}")
     print(f"scenes: {', '.join(SCENE_NAMES)} (+ 'wall' for diagnostics)")
     print(f"methods: {', '.join(METHODS)} (+ 'adaptive' pipeline in render)")
@@ -178,7 +171,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except MissingCheckpointError as e:
+    except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
     except OSError as e:

@@ -86,15 +86,22 @@ def build_target(p_patch: np.ndarray, blur_sigma: float = 1.0,
     return SupervisionTarget(probs=b, valid=valid)
 
 
-class ProposalNet:
-    """Conv upsampler from probe inputs to per-pixel depth distributions.
+def _layers(z: int, c: int) -> list[tuple]:
+    """The net for Z bins and hidden width C, from the input concat(P, I,
+    phi) of probe weights, image and view directions to the logits, in
+    order: ("conv", name, c_in, c_out) is a 3x3 conv, ("relu",) a ReLU,
+    ("up", f) a bilinear f-times upsample, and ("skip",) adds P upsampled
+    by UPSCALE. __init__, forward and backward all walk this table."""
+    return [("conv", "conv1", z + 6, c), ("relu",), ("conv", "conv2", c, c), ("relu",),
+            ("up", 2), ("conv", "conv3", c, c), ("relu",), ("up", 2),
+            ("conv", "conv4", c, z), ("skip",),
+            ("conv", "conv5", z, c), ("relu",), ("conv", "conv6", c, z)]
 
-    Topology (hidden width C, bin count Z):
-        concat(P, I, phi) -> conv+relu(C) -> conv+relu(C) -> up2
-        -> conv+relu(C) -> up2 -> conv(Z) -> (+ up4(P) skip)
-        -> conv+relu(C) -> conv(Z) -> channel softmax
-    The final conv starts at zero so the untrained net proposes uniform bins.
-    """
+
+class ProposalNet:
+    """Conv upsampler from probe inputs to per-pixel depth distributions:
+    the layers of _layers, then a channel softmax. The final conv starts at
+    zero so the untrained net proposes uniform bins."""
 
     def __init__(self, z_bins: int = 192, hidden: int = 64,
                  dtype=np.float32, seed: int = 0):
@@ -102,33 +109,25 @@ class ProposalNet:
         self.hidden = hidden
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        c_in = z_bins + 6
-        spec = [("conv1", c_in, hidden), ("conv2", hidden, hidden),
-                ("conv3", hidden, hidden), ("conv4", hidden, z_bins),
-                ("conv5", z_bins, hidden), ("conv6", hidden, z_bins)]
         self.params: list[Param] = []
-        for name, ci, co in spec:
-            w = he_init(rng, co, ci, 3, dtype)
-            if name == "conv6":
-                w = np.zeros_like(w)
-            self.params.append(Param(f"{name}.w", w))
-            self.params.append(Param(f"{name}.b", np.zeros(co, dtype=dtype)))
-        self._cache = None
-
-    def _p(self, name: str) -> Param:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        self.convs: dict[str, tuple[Param, Param]] = {}
+        for kind, *args in _layers(z_bins, hidden):
+            if kind == "conv":
+                name, ci, co = args
+                self.convs[name] = (Param(f"{name}.w", he_init(rng, co, ci, 3, dtype)),
+                                    Param(f"{name}.b", np.zeros(co, dtype=dtype)))
+                self.params.extend(self.convs[name])
+        self.params[-2].value[...] = 0.0  # the final conv's weights
 
     def zero_grads(self):
         for p in self.params:
             p.zero_grad()
 
     def forward(self, probe_weights: np.ndarray, image: np.ndarray,
-                dirs: np.ndarray, keep_cache: bool = False) -> np.ndarray:
+                dirs: np.ndarray, cache: list | None = None) -> np.ndarray:
         """probe_weights (B,Z,h,w), image (B,3,h,w), dirs (B,3,h,w) ->
-        per-pixel distributions (B, Z, 4h, 4w)."""
+        logits (B, Z, 4h, 4w). With a list for cache, appends each layer's
+        cache to it for backward."""
         if probe_weights.shape[1] != self.z_bins:
             raise ValueError(f"expected {self.z_bins} bins, got {probe_weights.shape[1]}")
         if image.shape[-2:] != probe_weights.shape[-2:] or dirs.shape[-2:] != probe_weights.shape[-2:]:
@@ -136,63 +135,44 @@ class ProposalNet:
         dt = self.dtype
         x = np.concatenate([probe_weights.astype(dt), image.astype(dt),
                             dirs.astype(dt)], axis=1)
-        c = {}
-        y, c["c1"] = conv2d_forward(x, *self._wb("conv1"))
-        y, c["r1"] = relu_forward(y)
-        y, c["c2"] = conv2d_forward(y, *self._wb("conv2"))
-        y, c["r2"] = relu_forward(y)
-        y, c["u2"] = upsample_forward(y, 2)
-        y, c["c3"] = conv2d_forward(y, *self._wb("conv3"))
-        y, c["r3"] = relu_forward(y)
-        y, c["u3"] = upsample_forward(y, 2)
-        g, c["c4"] = conv2d_forward(y, *self._wb("conv4"))
-        skip, _ = upsample_forward(x[:, :self.z_bins], UPSCALE)
-        y, c["c5"] = conv2d_forward(g + skip, *self._wb("conv5"))
-        y, c["r5"] = relu_forward(y)
-        logits, c["c6"] = conv2d_forward(y, *self._wb("conv6"))
-        self._cache = c if keep_cache else None
-        return logits
+        y = x
+        for kind, *args in _layers(self.z_bins, self.hidden):
+            if kind == "conv":
+                w, b = self.convs[args[0]]
+                y, c = conv2d_forward(y, w.value, b.value)
+            elif kind == "relu":
+                y, c = relu_forward(y)
+            elif kind == "up":
+                y, c = upsample_forward(y, args[0])
+            else:  # skip
+                y, c = y + upsample_forward(x[:, :self.z_bins], UPSCALE)[0], None
+            if cache is not None:
+                cache.append(c)
+        return y
 
     def predict(self, probe: ProbeOutput) -> np.ndarray:
         """Softmax proposal grid (Z, 4h, 4w) from a probe."""
         logits = self.forward(*probe_inputs(probe, self.dtype))
         return softmax_channels(logits.astype(np.float64))[0]
 
-    def _wb(self, name):
-        return self._p(f"{name}.w").value, self._p(f"{name}.b").value
-
-    def backward(self, d_logits: np.ndarray) -> None:
-        """Accumulate parameter gradients from the head gradient."""
-        if self._cache is None:
-            raise RuntimeError("forward(keep_cache=True) must precede backward")
-        c = self._cache
+    def backward(self, d_logits: np.ndarray, cache: list) -> None:
+        """Accumulate parameter gradients from the head gradient, through the
+        cache a forward of this net filled."""
+        layers = _layers(self.z_bins, self.hidden)
+        if len(cache) != len(layers):
+            raise RuntimeError("backward needs the cache of one forward(cache=[])")
         d = d_logits.astype(self.dtype)
-
-        d, dw, db = conv2d_backward(d, self._p("conv6.w").value, c["c6"])
-        _acc(self, "conv6", dw, db)
-        d = relu_backward(d, c["r5"])
-        d, dw, db = conv2d_backward(d, self._p("conv5.w").value, c["c5"])
-        _acc(self, "conv5", dw, db)
-        # skip branch feeds network inputs only; no parameters downstream of it
-        d, dw, db = conv2d_backward(d, self._p("conv4.w").value, c["c4"])
-        _acc(self, "conv4", dw, db)
-        d = upsample_backward(d, c["u3"])
-        d = relu_backward(d, c["r3"])
-        d, dw, db = conv2d_backward(d, self._p("conv3.w").value, c["c3"])
-        _acc(self, "conv3", dw, db)
-        d = upsample_backward(d, c["u2"])
-        d = relu_backward(d, c["r2"])
-        d, dw, db = conv2d_backward(d, self._p("conv2.w").value, c["c2"])
-        _acc(self, "conv2", dw, db)
-        d = relu_backward(d, c["r1"])
-        _, dw, db = conv2d_backward(d, self._p("conv1.w").value, c["c1"])
-        _acc(self, "conv1", dw, db)
-        self._cache = None
-
-
-def _acc(net: ProposalNet, name: str, dw, db):
-    net._p(f"{name}.w").grad += dw
-    net._p(f"{name}.b").grad += db
+        for (kind, *args), c in zip(reversed(layers), reversed(cache)):
+            if kind == "conv":
+                w, b = self.convs[args[0]]
+                d, dw, db = conv2d_backward(d, w.value, c)
+                w.grad += dw
+                b.grad += db
+            elif kind == "relu":
+                d = relu_backward(d, c)
+            elif kind == "up":
+                d = upsample_backward(d, c)
+            # the skip adds network inputs only; its gradient passes through
 
 
 @dataclass
@@ -265,15 +245,16 @@ def forward_patch(net: ProposalNet, inputs, row: int, col: int, patch: int):
         wr0, wr1 = _window(r0, r0 + nr, ph)
         for c0, pc, nc in _runs(col, patch, pw * UPSCALE):
             wc0, wc1 = _window(c0, c0 + nc, pw)
+            cache = []
             out = net.forward(*(a[:, :, wr0:wr1, wc0:wc1] for a in inputs),
-                              keep_cache=True)
+                              cache=cache)
             r, c = r0 - UPSCALE * wr0, c0 - UPSCALE * wc0
             src = (slice(None), slice(None), slice(r, r + nr), slice(c, c + nc))
             dst = (slice(None), slice(None), slice(pr, pr + nr), slice(pc, pc + nc))
             logits[dst] = out[src]
-            # the net keeps one forward's cache; hold each window's until the
-            # loss over the whole patch gives its head gradient
-            windows.append((net._cache, out.shape, src, dst))
+            # hold each window's cache until the loss over the whole patch
+            # gives its head gradient
+            windows.append((cache, out.shape, src, dst))
     return logits, windows
 
 
@@ -283,8 +264,7 @@ def backward_patch(net: ProposalNet, windows, d_patch: np.ndarray) -> None:
     for cache, shape, src, dst in windows:
         d_logits = np.zeros(shape, dtype=net.dtype)
         d_logits[src] = d_patch[dst]
-        net._cache = cache
-        net.backward(d_logits)
+        net.backward(d_logits, cache)
 
 
 def train_step(net: ProposalNet, opt: AdamState, truth: np.ndarray,

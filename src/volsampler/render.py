@@ -50,10 +50,6 @@ class ProbeOutput:
     t_far: np.ndarray    # (H, W)
     dirs: np.ndarray     # (H, W, 3)
 
-    @property
-    def z(self) -> int:
-        return self.weights.shape[0]
-
 
 @dataclass
 class PixelSamples:

@@ -68,6 +68,7 @@ def test_c1_dense_render_correctness():
         assert elapsed < 5.0
 
 
+@pytest.mark.slow
 def test_c2_estimator_consistency():
     with criterion(2, "estimator-consistency"):
         cam = small_camera(64)
@@ -343,6 +344,7 @@ def test_c8_worst_percentile_ordering(trained):
         assert ok
 
 
+@pytest.mark.slow
 def test_c9_regularizer_behavior():
     with criterion(9, "regularizer-behavior"):
         # surface tightening: descend the beta-field parameter by central

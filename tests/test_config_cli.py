@@ -262,11 +262,14 @@ BAD_INPUTS = [
     ("render --method uniform-dense --spp 0", ""),
     ("train-proposal --steps -3", ""),
     ("train-proposal --steps 0", ""),
+    ("info", "sampler.tau = 0"),
+    ("info", "camera.height = 18"),
 ] + [("render", line) for line in REMOVED_KEYS]
 
 
 @pytest.mark.parametrize("command,extra", BAD_INPUTS,
-                         ids=[(extra or command).splitlines()[-1]
+                         ids=[("info: " if command == "info" else "")
+                              + (extra or command).splitlines()[-1]
                               for command, extra in BAD_INPUTS])
 def test_invalid_value_exits_2(tmp_path, capsys, command, extra):
     cfg = tmp_path / "c.cfg"

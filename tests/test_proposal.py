@@ -195,9 +195,10 @@ class TestBackwardProperties:
         p = rng.random((1, 8, 4, 4))
         i = rng.random((1, 3, 4, 4))
         d = rng.standard_normal((1, 3, 4, 4))
-        logits = net.forward(p, i, d, keep_cache=True)
+        cache = []
+        logits = net.forward(p, i, d, cache=cache)
         net.zero_grads()
-        net.backward(np.zeros_like(logits))
+        net.backward(np.zeros_like(logits), cache)
         for prm in net.params:
             assert np.all(prm.grad == 0.0)
 
@@ -207,20 +208,78 @@ class TestBackwardProperties:
         i = rng.random((1, 3, 4, 4))
         d = rng.standard_normal((1, 3, 4, 4))
         upstream = rng.standard_normal((1, 8, 16, 16))
-        net.forward(p, i, d, keep_cache=True)
+        cache = []
+        net.forward(p, i, d, cache=cache)
         net.zero_grads()
-        net.backward(upstream)
+        net.backward(upstream, cache)
         g1 = [prm.grad.copy() for prm in net.params]
-        net.forward(p, i, d, keep_cache=True)
         net.zero_grads()
-        net.backward(2.0 * upstream)
+        net.backward(2.0 * upstream, cache)
         for prm, g in zip(net.params, g1):
             np.testing.assert_allclose(prm.grad, 2.0 * g, rtol=1e-9, atol=1e-12)
 
     def test_backward_requires_cache(self, rng):
+        # a cache this net's forward did not fill is refused before any
+        # gradient is touched
         net = ProposalNet(z_bins=8, hidden=6)
-        with pytest.raises(RuntimeError):
-            net.backward(np.zeros((1, 8, 16, 16)))
+        p, i, d = rng.random((1, 8, 4, 4)), rng.random((1, 3, 4, 4)), rng.random((1, 3, 4, 4))
+        short = []
+        net.forward(p, i, d, cache=short)
+        short.pop()
+        for cache in ([], short):
+            with pytest.raises(RuntimeError):
+                net.backward(np.ones((1, 8, 16, 16)), cache)
+            for prm in net.params:
+                assert not prm.grad.any(), prm.name
+
+    def test_whole_net_matches_finite_differences(self):
+        # every parameter live, so each layer of the chain carries gradient
+        rng = np.random.default_rng(0)
+        z, hw, h = 6, 3, 1e-6
+        net = ProposalNet(z_bins=z, hidden=4, seed=0, dtype=np.float64)
+        for prm in net.params:
+            prm.value = rng.standard_normal(prm.value.shape) * 0.5
+        inputs = (rng.random((1, z, hw, hw)), rng.random((1, 3, hw, hw)),
+                  rng.standard_normal((1, 3, hw, hw)))
+        proj = rng.standard_normal((1, z, 4 * hw, 4 * hw))
+        cache = []
+        net.forward(*inputs, cache=cache)
+        net.zero_grads()
+        net.backward(proj, cache)
+        for prm in net.params:
+            flat = prm.value.reshape(-1)
+            picks = rng.choice(flat.size, min(5, flat.size), replace=False)
+            numeric = []
+            for j in picks:
+                x0 = flat[j]
+                flat[j] = x0 + h
+                up = np.sum(proj * net.forward(*inputs))
+                flat[j] = x0 - h
+                down = np.sum(proj * net.forward(*inputs))
+                flat[j] = x0
+                numeric.append((up - down) / (2.0 * h))
+            analytic = prm.grad.reshape(-1)[picks]
+            scale = np.abs(analytic).max()
+            assert scale > 0.0, prm.name
+            assert np.abs(np.array(numeric) - analytic).max() / scale < 1e-4, prm.name
+
+    def test_layers_call_the_module_functions(self, rng, monkeypatch):
+        # each layer looks its op up in the proposal module when it runs, so
+        # rebinding a name there (as a profiler does) sees every call
+        calls = {}
+        for name in ("conv2d_forward", "conv2d_backward",
+                     "upsample_forward", "upsample_backward"):
+            def counting(*args, _fn=getattr(proposal, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(proposal, name, counting)
+        net = ProposalNet(z_bins=8, hidden=6)
+        cache = []
+        logits = net.forward(rng.random((1, 8, 4, 4)), rng.random((1, 3, 4, 4)),
+                             rng.random((1, 3, 4, 4)), cache=cache)
+        net.backward(np.ones_like(logits), cache)
+        assert calls == {"conv2d_forward": 6, "conv2d_backward": 6,
+                         "upsample_forward": 3, "upsample_backward": 2}
 
 
 class TestTrainStep:
@@ -433,7 +492,8 @@ class TestPatchWindows:
             # head gradient elsewhere, full-image backward
             gt = render_gt_patch(truth, row, col, self.PATCH)
             target = build_target(gt)
-            logits = net.forward(*probe_inputs(probe), keep_cache=True)
+            cache = []
+            logits = net.forward(*probe_inputs(probe), cache=cache)
             r, c = patch_pixels(row, col, self.PATCH, self.RES, self.RES)
             sel = (slice(None), slice(None), r[:, None], c[None, :])
             _, _, d_patch = softmax_ce(logits[sel].astype(np.float64),
@@ -441,7 +501,7 @@ class TestPatchWindows:
             d_logits = np.zeros_like(logits)
             d_logits[sel] = d_patch
             net.zero_grads()
-            net.backward(d_logits)
+            net.backward(d_logits, cache)
             for prm, g in zip(net.params, got):
                 scale = np.abs(prm.grad).max()
                 assert scale > 0.0, prm.name
