@@ -46,13 +46,22 @@ LIFT_BLUR_SIGMA = 1.0  # probe-lift's Gaussian blur along depth, in bins
 
 @dataclass
 class ProposalField:
-    """Per-pixel proposal PDFs at full resolution plus the probe they came
-    from, which renders at 1/UPSCALE of the full resolution per side."""
+    """Proposal PDFs at full resolution, held as the distinct rows plus the
+    row each pixel reads, and the probe they came from, which renders at
+    1/UPSCALE of the full resolution per side."""
 
-    pdf: np.ndarray        # (N, Z) C-order, rows normalized; all-zero = background
+    rows: np.ndarray       # (M, Z) C-order, normalized; all-zero = background
+    index: np.ndarray      # (N,) each pixel's row of `rows`
     probe: ProbeOutput
     t_near: np.ndarray     # (N,) full-res ray intervals
     t_far: np.ndarray
+
+    @property
+    def pdf(self) -> np.ndarray:
+        """(N, Z) per-pixel PDFs, gathered on every read. The inverse-CDF
+        methods search it per pixel; the stages that depend on a row alone
+        run on `rows`."""
+        return self.rows[self.index]
 
 
 def parent_rows(height: int, width: int) -> np.ndarray:
@@ -226,9 +235,10 @@ def _load_net(pipe: Pipeline) -> ProposalNet:
 
 
 def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> ProposalField:
-    """Build per-pixel proposal PDFs at the target resolution. With
-    proposal.source=checkpoint, `net` (when given) stands in for the
-    configured checkpoint file."""
+    """Build the proposal PDFs at the target resolution: one row per probe
+    pixel, which its children share, for probe-lift, and one row per pixel
+    for the other sources. With proposal.source=checkpoint, `net` (when
+    given) stands in for the configured checkpoint file."""
     z = pipe.z_bins
     if pipe.proposal_source == "checkpoint" and net is None:
         net = _load_net(pipe)
@@ -241,17 +251,19 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
         # ray's row, built once per parent and blurred along bins to hedge
         # the parallax between parent and child rays. Imperfect at depth
         # edges by construction; the checkpoint source is the full-quality path.
-        parents = parent_rows(pipe.camera.height, pipe.camera.width)
         blurred = blur_bins(probe.weights.reshape(z, -1), LIFT_BLUR_SIGMA)
-        pdf = normalize_pdf(blurred.T)[parents]
+        rows = normalize_pdf(blurred.T)
+        index = parent_rows(pipe.camera.height, pipe.camera.width)
     elif pipe.proposal_source == "oracle-full":
         dense = render_probe(pipe.scene, pipe.camera, z, workers=pipe.workers)
-        pdf = normalize_pdf(dense.weights.reshape(z, -1).T)
+        rows = normalize_pdf(dense.weights.reshape(z, -1).T)
+        index = np.arange(len(rows))
     elif pipe.proposal_source == "checkpoint":
-        pdf = net.predict(probe).reshape(z, -1).T
+        rows = net.predict(probe).reshape(z, -1).T
+        index = np.arange(len(rows))
     else:
         raise ConfigError(f"unknown proposal source {pipe.proposal_source!r}")
-    return ProposalField(pdf=np.ascontiguousarray(pdf), probe=probe,
+    return ProposalField(rows=np.ascontiguousarray(rows), index=index, probe=probe,
                          t_near=t_near, t_far=t_far)
 
 
@@ -264,7 +276,7 @@ def method_samples(method: str, prop: ProposalField, spp: int, seed: int,
     """Per-pixel sample positions for one proposal-guided method at a flat
     budget (uniform-dense needs no proposal: render.render_uniform); the
     robust method is robust_samples at spp everywhere."""
-    n = prop.pdf.shape[0]
+    n = prop.index.size
     stream = _METHOD_IDS[method] + 11
     if method in ("unstratified", "stratified"):
         if method == "unstratified":
@@ -294,11 +306,16 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     Without the merge every pixel lifts none. This is the one place a
     proposal-guided sample gets its quadrature delta: the gap to the next
     sample (the last one's to t_far), clipped to one bin width.
+
+    The nucleus, the thinning and the allocation run once per distinct
+    proposal row (per budget); per-pixel intervals and variates enter after.
     """
-    n, z = prop.pdf.shape
+    n, z = prop.index.size, prop.rows.shape[1]
     height, width = pipe.camera.height, pipe.camera.width
-    support = nucleus_support_grid(prop.pdf, pipe.tau)
-    fallback = _fallback_rows(prop.pdf)
+    # the masks come back one row per pixel, as perfbench's trace hook reads
+    # them; the budget loop takes each distinct row's mask from its first pixel
+    support = nucleus_support_grid(prop.rows, pipe.tau, prop.index)
+    fallback = _fallback_rows(prop.rows)[prop.index]
     bin_width = (prop.t_far - prop.t_near) / z
 
     if pipe.merge_probe:
@@ -314,24 +331,26 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
 
     groups = []
     for s in np.unique(spp_map):
-        rows = np.flatnonzero((spp_map == s) & ~fallback)
-        if rows.size:
-            xi = block_uniforms(seed, 23, (n, int(s)))[rows]
-            t = budget_sample_grid(support[rows], prop.pdf[rows], int(s),
-                                   prop.t_near[rows], prop.t_far[rows], xi)
-            for c in np.unique(lift_count[rows]):
-                sel = lift_count[rows] == c
-                r = rows[sel]
+        pix = np.flatnonzero((spp_map == s) & ~fallback)
+        if pix.size:
+            xi = block_uniforms(seed, 23, (n, int(s)))[pix]
+            distinct, first, inverse = np.unique(prop.index[pix], return_index=True,
+                                                 return_inverse=True)
+            t = budget_sample_grid(support[pix[first]], prop.rows[distinct], int(s),
+                                   prop.t_near[pix], prop.t_far[pix], xi, inverse)
+            for c in np.unique(lift_count[pix]):
+                sel = lift_count[pix] == c
+                r = pix[sel]
                 t_lift = np.maximum(lift_t[r, :c], prop.t_near[r, None])
                 t_all = np.sort(np.concatenate([t[sel], t_lift], axis=1), axis=1)
                 delta = np.minimum(interval_deltas(t_all, prop.t_far[r]),
                                    bin_width[r, None])
                 groups.append((r, t_all, delta))
-        rows_bg = np.flatnonzero((spp_map == s) & fallback)
-        if rows_bg.size:
-            u = stratified_u_block(n, int(s), seed, 29)[rows_bg]
-            t = prop.t_near[rows_bg, None] + u * (prop.t_far - prop.t_near)[rows_bg, None]
-            groups.append((rows_bg, t, None))
+        pix_bg = np.flatnonzero((spp_map == s) & fallback)
+        if pix_bg.size:
+            u = stratified_u_block(n, int(s), seed, 29)[pix_bg]
+            t = prop.t_near[pix_bg, None] + u * (prop.t_far - prop.t_near)[pix_bg, None]
+            groups.append((pix_bg, t, None))
     return PixelSamples(height, width, groups)
 
 
@@ -382,7 +401,7 @@ def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
     """Full low-sample render: leftover-mass scores pick boosted pixels, robust
     stratified sampling draws each pixel's budget. Returns (render, spp map)."""
     h, w = pipe.camera.height, pipe.camera.width
-    scores = adaptive_score_grid(prop.pdf, pipe.score_bins)
+    scores = adaptive_score_grid(prop.rows, pipe.score_bins)[prop.index]
     scores = (scores * coverage_mask(prop, h, w)).reshape(h, w)
     spp_map = allocate_budgets(scores, pipe.budget)
     samples = robust_samples(prop, spp_map.ravel(), pipe.seed, pipe)

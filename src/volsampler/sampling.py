@@ -141,10 +141,13 @@ def top_k_mask(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _top_k_at(keys, thr, k)
 
 
-def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
+def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98,
+                         index: np.ndarray | None = None) -> np.ndarray:
     """Boolean support masks (N, Z) of the nucleus filter applied per row: the
     minimal set of highest-probability bins with cumulative mass >= tau, bins
-    entering in descending probability order (ties towards lower index)."""
+    entering in descending probability order (ties towards lower index).
+    With index (N,), the masks of the rows probs[index], each row's computed
+    once."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0, 1]")
     p = np.asarray(probs, dtype=np.float64)
@@ -156,7 +159,8 @@ def nucleus_support_grid(probs: np.ndarray, tau: float = 0.98) -> np.ndarray:
     reached = cum >= tau * total - 1e-12
     k = np.argmax(reached, axis=1) + 1
     k = np.where(reached.any(axis=1), k, z)
-    return _top_k_at(p, ascending[np.arange(n), z - k], k)
+    mask = _top_k_at(p, ascending[np.arange(n), z - k], k)
+    return mask if index is None else mask[index]
 
 
 def _thin_support(support: np.ndarray, s: int) -> np.ndarray:
@@ -193,15 +197,17 @@ def interval_deltas(t: np.ndarray, t_far: np.ndarray) -> np.ndarray:
 
 
 def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
-                       t_near: np.ndarray, t_far: np.ndarray,
-                       xi: np.ndarray) -> np.ndarray:
+                       t_near: np.ndarray, t_far: np.ndarray, xi: np.ndarray,
+                       index: np.ndarray | None = None) -> np.ndarray:
     """Stratified samples from robust supports at a flat budget of s per row.
 
-    support, phat: (N, Z) over Z equal-width bins of each [t_near, t_far];
-    xi: (N, s) uniforms. Returns the positions t (N, s), sorted per row. A
-    support of more than s bins is thinned to s evenly spaced bins with one
-    sample each, so the budget still spans the whole support instead of
-    chasing its largest bins.
+    support, phat: (M, Z) over Z equal-width bins; t_near, t_far: (N,);
+    xi: (N, s) uniforms; index (N,): each output row's row of support and
+    phat (default: the identity, M = N). Returns the positions t (N, s) in
+    each [t_near, t_far], sorted per row. A support of more than s bins is
+    thinned to s evenly spaced bins with one sample each, so the budget still
+    spans the whole support instead of chasing its largest bins. Thinning
+    and allocation run once per row of support.
     """
     if s < 1:
         raise ValueError("need s >= 1")
@@ -223,6 +229,8 @@ def budget_sample_grid(support: np.ndarray, phat: np.ndarray, s: int,
     bin_idx = np.repeat(cells % z, m).reshape(n, s)
     j = (np.arange(n * s) - np.repeat(first, m)).reshape(n, s)
     m = np.repeat(m, m).reshape(n, s)
+    if index is not None:
+        bin_idx, j, m = bin_idx[index], j[index], m[index]
 
     width = (t_far - t_near)[:, None] / z
     return t_near[:, None] + (bin_idx + (j + xi) / m) * width

@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import small_camera
-from volsampler.bench import (CSV_HEADER, MetricRow, Pipeline, _probe_lift_mask,
+from volsampler import bench
+from volsampler.bench import (CSV_HEADER, LIFT_BLUR_SIGMA, MetricRow, Pipeline,
+                              _probe_lift_mask, adaptive_pipeline_render,
                               method_samples, parent_rows, parse_csv,
                               prepare_proposals, robust_samples, rows_to_csv,
                               run_bench)
 from volsampler.config import Config
 from volsampler.metrics import psnr
-from volsampler.proposal import ProposalNet
+from volsampler.proposal import ProposalNet, blur_bins
 from volsampler.render import (PixelSamples, bin_midpoints, render_full,
                                render_uniform)
-from volsampler.sampling import adaptive_score_grid, normalize_pdf
+from volsampler.sampling import (adaptive_score_grid, nucleus_support_grid,
+                                 normalize_pdf)
 from volsampler.scenes import make_scene
 
 
@@ -352,3 +355,90 @@ class TestAdaptivePipeline:
         acc = prop.probe.weights.sum(axis=0)
         lifted = np.repeat(np.repeat(acc > 0.05, 4, 0), 4, 1)
         assert np.all(mask[lifted])
+
+
+def _per_pixel(prop):
+    """The same field with one row per pixel and the identity index."""
+    return replace(prop, rows=prop.pdf, index=np.arange(prop.index.size))
+
+
+def _groups_equal(a, b):
+    assert len(a.groups) == len(b.groups)
+    for (ra, ta, da), (rb, tb, db) in zip(a.groups, b.groups):
+        assert np.array_equal(ra, rb) and np.array_equal(ta, tb)
+        assert (da is None) == (db is None)
+        assert da is None or np.array_equal(da, db)
+
+
+class TestSharedRows:
+    """Probe-lift children share their parent's proposal row; the row stages
+    run once per distinct row and must give what running them per pixel
+    gives, bit for bit."""
+
+    @pytest.mark.parametrize("scene_name,beta", [("two-spheres", 0.004),
+                                                 ("textured-sphere", None)])
+    @pytest.mark.parametrize("merge", [False, True], ids=["merge-off", "merge-on"])
+    def test_robust_samples_equal_per_pixel_rows(self, scene_name, beta, merge):
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=make_scene(scene_name, beta=beta), camera=cam,
+                         merge_probe=merge)
+        shared = prepare_proposals(pipe)
+        expanded = _per_pixel(shared)
+        assert len(shared.rows) == 16 < len(expanded.rows) == 256
+        scores = adaptive_score_grid(shared.pdf, pipe.score_bins)
+        adaptive = np.where(scores > np.median(scores), 8, 3).astype(np.int64)
+        for spp_map in (np.full(256, 4, dtype=np.int64), adaptive):
+            _groups_equal(robust_samples(shared, spp_map, 4, pipe),
+                          robust_samples(expanded, spp_map, 4, pipe))
+        # supports wider than the flat budget are thinned
+        support = nucleus_support_grid(shared.pdf, pipe.tau)
+        fg = shared.pdf.sum(axis=1) > 0
+        assert np.any(support[fg].sum(axis=1) > 4)
+
+    def test_adaptive_render_equal_per_pixel_rows(self):
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=make_scene("textured-sphere"), camera=cam)
+        shared = prepare_proposals(pipe)
+        a, spp_a = adaptive_pipeline_render(pipe, shared)
+        b, spp_b = adaptive_pipeline_render(pipe, _per_pixel(shared))
+        assert np.array_equal(spp_a, spp_b)
+        assert np.array_equal(a.radiance, b.radiance)
+
+    def test_probe_lift_holds_one_row_per_probe_pixel(self):
+        cam = small_camera(32)
+        pipe = tiny_spec(scene=make_scene("two-spheres", beta=0.004), camera=cam)
+        prop = prepare_proposals(pipe)
+        assert prop.rows.shape == (8 * 8, 48) and prop.rows.flags.c_contiguous
+        assert np.array_equal(prop.index, parent_rows(32, 32))
+        blurred = blur_bins(prop.probe.weights.reshape(48, -1), LIFT_BLUR_SIGMA)
+        want = normalize_pdf(blurred.T)[parent_rows(32, 32)]
+        assert prop.pdf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source", ["oracle-full", "checkpoint"])
+    def test_other_sources_hold_one_row_per_pixel(self, source):
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=make_scene("two-spheres", beta=0.004), camera=cam,
+                         proposal_source=source)
+        net = ProposalNet(z_bins=48, hidden=4, seed=0) if source == "checkpoint" else None
+        prop = prepare_proposals(pipe, net=net)
+        assert prop.rows.shape == (256, 48)
+        assert np.array_equal(prop.index, np.arange(256))
+
+    def test_nucleus_returns_one_mask_row_per_pixel(self, monkeypatch):
+        # perfbench's trace hook indexes the returned masks with a per-pixel
+        # coverage mask, so robust_samples must get back (N, Z)
+        seen = []
+
+        def recording(*args, **kwargs):
+            out = nucleus_support_grid(*args, **kwargs)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(bench, "nucleus_support_grid", recording)
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=make_scene("two-spheres", beta=0.004), camera=cam)
+        prop = prepare_proposals(pipe)
+        robust_samples(prop, np.full(256, 4, dtype=np.int64), 4, pipe)
+        assert len(prop.rows) == 16 and len(seen) == 1
+        assert seen[0].shape == (256, 48)
+        assert np.array_equal(seen[0], nucleus_support_grid(prop.pdf, pipe.tau))

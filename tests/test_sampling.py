@@ -188,6 +188,49 @@ class TestNucleusFilter:
         assert np.sum(np.any((p == kth[:, None]) & ~mask, axis=1)) > n // 4
 
 
+def _quantized_pdf(rng, n, z):
+    """Normalized rows of few distinct masses: ties in most rows, all-zero
+    rows first."""
+    p = rng.integers(0, int(rng.integers(2, 6)), (n, z)).astype(np.float64)
+    p *= rng.random((n, z)) < rng.uniform(0.2, 1.0)
+    p[:4] = 0.0
+    return normalize_pdf(p)
+
+
+class TestRowIndex:
+    """The row stages with an index (N,) into distinct rows (M, Z) equal the
+    same stages on the gathered (N, Z) inputs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nucleus_equals_nucleus_of_gathered_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        m, z = 24, int(rng.integers(4, 40))
+        p = _quantized_pdf(rng, m, z)
+        index = rng.integers(0, m, 300)
+        tau = float(rng.uniform(0.3, 1.0))
+        got = nucleus_support_grid(p, tau, index)
+        assert got.shape == (300, z)
+        assert np.array_equal(got, nucleus_support_grid(p[index], tau))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_budget_sampler_equals_gathered_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n, z = 24, 300, int(rng.integers(8, 48))
+        p = _quantized_pdf(rng, m, z)
+        support = nucleus_support_grid(p, float(rng.uniform(0.5, 1.0)))
+        c = support.sum(axis=1)
+        s = int(rng.integers(1, c.max()))
+        index = rng.integers(0, m, n)
+        t_near = rng.uniform(0.0, 1.0, n)
+        t_far = t_near + rng.uniform(0.5, 2.0, n)
+        xi = rng.random((n, s))
+        got = budget_sample_grid(support, p, s, t_near, t_far, xi, index)
+        want = budget_sample_grid(support[index], p[index], s, t_near, t_far, xi)
+        assert np.array_equal(got, want)
+        c = support[index].sum(axis=1)
+        assert np.any(c > s) and np.any(c <= s)  # thinned and allocated rows
+
+
 def _stable_rank_mask(keys, k):
     """The definition top_k_mask implements: rank in a stable descending
     argsort below k."""
