@@ -50,7 +50,7 @@ class ProposalField:
     row each pixel reads, and the probe they came from, which renders at
     1/UPSCALE of the full resolution per side."""
 
-    rows: np.ndarray       # (M, Z) C-order, normalized; all-zero = background
+    rows: np.ndarray       # (M, Z) C-order, normalized; all-zero: idle pixels
     index: np.ndarray      # (N,) each pixel's row of `rows`
     probe: ProbeOutput
     t_near: np.ndarray     # (N,) full-res ray intervals
@@ -267,10 +267,6 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
                          t_near=t_near, t_far=t_far)
 
 
-def _fallback_rows(pdf: np.ndarray) -> np.ndarray:
-    return pdf.sum(axis=1) <= 0.0
-
-
 def method_samples(method: str, prop: ProposalField, spp: int, seed: int,
                    pipe: Pipeline) -> PixelSamples:
     """Per-pixel sample positions for one proposal-guided method at a flat
@@ -297,15 +293,17 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     """Nucleus-filtered (pipe.tau) stratified budgeting, grouped by per-pixel
     budget.
 
-    Background pixels (all-zero proposals) fall back to stratified-uniform
-    sampling. With pipe.merge_probe, each pixel also integrates its parent
-    probe ray's coarse samples at the bins _probe_lift_mask picks, realizing
-    the probe's amortized sample share: a pixel's sample count is its budget
-    (spp_map counts the new samples only) plus the number of bins its parent
-    lifts that lie before the pixel's own t_far, and rows are grouped by both.
-    Without the merge every pixel lifts none. This is the one place a
-    proposal-guided sample gets its quadrature delta: the gap to the next
-    sample (the last one's to t_far), clipped to one bin width.
+    Idle pixels (all-zero proposal row, or no opacity on the parent probe
+    ray) render black at any budget: they form one group of width 0 and
+    leave their spp_map budget unspent. With pipe.merge_probe, every other
+    pixel also integrates its parent probe ray's coarse samples at the bins
+    _probe_lift_mask picks, realizing the probe's amortized sample share:
+    its sample count is its budget (spp_map counts the new samples only)
+    plus the number of bins its parent lifts that lie before its own t_far,
+    and rows are grouped by both. Without the merge every pixel lifts none.
+    This is the one place a proposal-guided sample gets its quadrature
+    delta: the gap to the next sample (the last one's to t_far), clipped to
+    one bin width.
 
     The nucleus, the thinning and the allocation run once per distinct
     proposal row (per budget); per-pixel intervals and variates enter after.
@@ -315,7 +313,7 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     # the masks come back one row per pixel, as perfbench's trace hook reads
     # them; the budget loop takes each distinct row's mask from its first pixel
     support = nucleus_support_grid(prop.rows, pipe.tau, prop.index)
-    fallback = _fallback_rows(prop.rows)[prop.index]
+    idle = ~prop.rows.any(axis=1)[prop.index] | (_parent_opacity(prop, height, width) <= 0.0)
     bin_width = (prop.t_far - prop.t_near) / z
 
     if pipe.merge_probe:
@@ -331,7 +329,7 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
 
     groups = []
     for s in np.unique(spp_map):
-        pix = np.flatnonzero((spp_map == s) & ~fallback)
+        pix = np.flatnonzero((spp_map == s) & ~idle)
         if pix.size:
             xi = block_uniforms(seed, 23, (n, int(s)))[pix]
             distinct, first, inverse = np.unique(prop.index[pix], return_index=True,
@@ -346,11 +344,9 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
                 delta = np.minimum(interval_deltas(t_all, prop.t_far[r]),
                                    bin_width[r, None])
                 groups.append((r, t_all, delta))
-        pix_bg = np.flatnonzero((spp_map == s) & fallback)
-        if pix_bg.size:
-            u = stratified_u_block(n, int(s), seed, 29)[pix_bg]
-            t = prop.t_near[pix_bg, None] + u * (prop.t_far - prop.t_near)[pix_bg, None]
-            groups.append((pix_bg, t, None))
+    pix = np.flatnonzero(idle)
+    if pix.size:
+        groups.append((pix, np.empty((pix.size, 0)), None))
     return PixelSamples(height, width, groups)
 
 
@@ -385,6 +381,11 @@ def _probe_lift_mask(weights: np.ndarray) -> np.ndarray:
 COVERAGE_OPACITY = 0.05  # least parent probe opacity of a covered pixel
 
 
+def _parent_opacity(prop: ProposalField, height: int, width: int) -> np.ndarray:
+    """(N,) accumulated opacity of each pixel's parent probe ray."""
+    return prop.probe.weights.sum(axis=0).ravel()[parent_rows(height, width)]
+
+
 def coverage_mask(prop: ProposalField, height: int, width: int) -> np.ndarray:
     """Pixels whose own parent probe ray carries opacity.
 
@@ -392,8 +393,7 @@ def coverage_mask(prop: ProposalField, height: int, width: int) -> np.ndarray:
     supervised, so they must not absorb the boosted-budget ranking; the
     uncertain pixels that deserve the boost share a parent with real signal.
     """
-    acc = prop.probe.weights.sum(axis=0).ravel()
-    return acc[parent_rows(height, width)] > COVERAGE_OPACITY
+    return _parent_opacity(prop, height, width) > COVERAGE_OPACITY
 
 
 def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField

@@ -43,20 +43,18 @@ class SupervisionTarget:
     valid: np.ndarray  # (h, w) bool, False where suppression emptied the ray
 
 
-def gaussian_kernel(sigma: float, radius: int = 3) -> np.ndarray:
-    """Truncated renormalized 1D Gaussian; sigma == 0 degenerates to identity."""
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """1D Gaussian over 3 taps per side, renormalized; sigma == 0 is the identity."""
     if sigma <= 0.0:
         return np.array([1.0])
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    x = np.arange(-3, 4, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
 
 
-def blur_bins(weights: np.ndarray, sigma: float, radius: int = 3) -> np.ndarray:
-    """1D Gaussian blur along the leading (bin) axis, zero-padded."""
-    kernel = gaussian_kernel(sigma, radius)
-    if kernel.size == 1:
-        return weights.astype(np.float64, copy=True)
+def blur_bins(weights: np.ndarray, sigma: float) -> np.ndarray:
+    """1D Gaussian blur (gaussian_kernel) along the leading (bin) axis, zero-padded."""
+    kernel = gaussian_kernel(sigma)
     z = weights.shape[0]
     r = kernel.size // 2
     padded = np.zeros((z + 2 * r,) + weights.shape[1:], dtype=np.float64)

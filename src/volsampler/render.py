@@ -56,7 +56,7 @@ class PixelSamples:
     """Per-pixel depth samples grouped by sample count.
 
     groups: list of (pixel_indices (M,), t (M, K), delta (M, K) or None);
-    delta overrides the default spacing rule (used for clipped robust deltas).
+    delta overrides the default spacing rule; a group with K = 0 takes no samples.
     """
 
     height: int
@@ -194,7 +194,8 @@ def render_full(scene: SceneOracle, camera: Camera, samples: PixelSamples,
     depth = np.zeros(n)
     acc = np.zeros(n)
 
-    for idx, t, delta in samples.groups:
+    # a zero-width group takes no samples: its pixels stay 0 in every image
+    for idx, t, delta in (g for g in samples.groups if g[1].shape[1]):
         def work(lo, hi, idx=idx, t=t, delta=delta):
             rows = idx[lo:hi]
             out = integrate_batch(scene, o[rows], d[rows], t[lo:hi], t_far[rows],

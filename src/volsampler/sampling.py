@@ -67,21 +67,21 @@ def stratified_u_block(n_pixels: int, n: int, seed: int, stream: int = 0) -> np.
     return (np.arange(n)[None, :] + xi) / n
 
 
-def normalize_pdf(weights: np.ndarray, axis: int = -1) -> np.ndarray:
-    """L1-normalize nonnegative weights; all-zero vectors stay zero."""
+def normalize_pdf(weights: np.ndarray) -> np.ndarray:
+    """L1-normalize nonnegative weights along the last axis; all-zero rows stay zero."""
     w = np.asarray(weights, dtype=np.float64)
-    total = w.sum(axis=axis, keepdims=True)
+    total = w.sum(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), 0.0)
     return p
 
 
-def _searchsorted_rows(rows: np.ndarray, queries: np.ndarray, side: str = "right") -> np.ndarray:
-    """Row-wise searchsorted via the offset trick; rows must be per-row sorted
-    with values in [0, 1] (scaled by caller)."""
+def _searchsorted_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row-wise searchsorted (side="right") via the offset trick; rows must be
+    per-row sorted with values in [0, 1] (scaled by caller)."""
     n, m = rows.shape
     off = 2.0 * np.arange(n)[:, None]
-    flat = np.searchsorted((rows + off).ravel(), (queries + off).ravel(), side=side)
+    flat = np.searchsorted((rows + off).ravel(), (queries + off).ravel(), side="right")
     return flat.reshape(queries.shape) - np.arange(n)[:, None] * m
 
 
@@ -108,7 +108,7 @@ def inverse_cdf_sample_edges(probs: np.ndarray, edges: np.ndarray,
     cdf = np.concatenate([np.zeros((n, 1)), np.cumsum(pn, axis=1)], axis=1)
     cdf[:, -1] = 1.0  # close the CDF against rounding
 
-    idx = _searchsorted_rows(cdf, u, side="right") - 1
+    idx = _searchsorted_rows(cdf, u) - 1
     idx = np.clip(idx, 0, z - 1)
     lo = np.take_along_axis(cdf, idx, axis=1)
     pj = np.take_along_axis(pn, idx, axis=1)

@@ -12,12 +12,13 @@ from volsampler.bench import (CSV_HEADER, LIFT_BLUR_SIGMA, MetricRow, Pipeline,
                               prepare_proposals, robust_samples, rows_to_csv,
                               run_bench)
 from volsampler.config import Config
-from volsampler.metrics import psnr
+from volsampler.metrics import psnr, worst_percentile_psnr
 from volsampler.proposal import ProposalNet, blur_bins
 from volsampler.render import (PixelSamples, bin_midpoints, render_full,
-                               render_uniform)
-from volsampler.sampling import (adaptive_score_grid, nucleus_support_grid,
-                                 normalize_pdf)
+                               render_reference, render_uniform)
+from volsampler.sampling import (adaptive_score_grid, derive_seed,
+                                 nucleus_support_grid, normalize_pdf,
+                                 stratified_u_block)
 from volsampler.scenes import make_scene
 
 
@@ -153,16 +154,35 @@ class TestProposalsAndMethods:
             total = sum(len(idx) for idx, _, _ in samples.groups)
             assert total == 256
 
-    def test_background_rows_fall_back_to_uniform(self):
+    @pytest.mark.parametrize("source", ["probe-lift", "oracle-full", "checkpoint"])
+    def test_idle_pixels_take_no_samples(self, source):
+        # a pixel whose proposal row is all-zero or whose parent probe ray
+        # has no opacity is idle: one zero-width group, rendered as exact 0
         sc = make_scene("two-spheres", beta=0.004)
         cam = small_camera(16)
-        pipe = tiny_spec(scene=sc, camera=cam)
-        prop = prepare_proposals(pipe)
-        bg = np.flatnonzero(prop.pdf.sum(axis=1) == 0)
-        assert bg.size > 0  # corners miss both spheres
-        samples = method_samples("robust", prop, 4, 4, pipe)
-        covered = np.concatenate([idx for idx, _, _ in samples.groups])
-        assert np.array_equal(np.sort(covered), np.arange(256))
+        pipe = tiny_spec(scene=sc, camera=cam, proposal_source=source)
+        net = ProposalNet(z_bins=48, hidden=4, seed=0) if source == "checkpoint" else None
+        prop = prepare_proposals(pipe, net=net)
+        parent_acc = prop.probe.weights.sum(axis=0).ravel()[parent_rows(16, 16)]
+        idle = (prop.pdf.sum(axis=1) == 0) | (parent_acc == 0)
+        assert idle.any() and not idle.all()  # corners miss both spheres
+        spp_map = np.where(np.arange(256) % 3 == 0, 6, 4).astype(np.int64)
+        samples = robust_samples(prop, spp_map, 4, pipe)
+
+        seen = np.zeros(256, dtype=np.int64)
+        for rows, t, delta in samples.groups:
+            assert rows.size > 0 and t.shape[0] == rows.size
+            assert np.all(idle[rows] == (t.shape[1] == 0))
+            seen[rows] += 1
+        assert np.all(seen == 1)
+        (rows, t, delta), = [g for g in samples.groups if g[1].shape[1] == 0]
+        assert np.array_equal(rows, np.flatnonzero(idle))
+        assert t.shape == (idle.sum(), 0) and delta is None
+
+        out = render_full(sc, cam, samples)
+        for img in (out.radiance, out.beta_image, out.expected_depth,
+                    out.accumulated_opacity):
+            assert np.all(img.reshape(256, -1)[idle] == 0.0)
 
     def test_adaptive_budget_grouping(self):
         sc = make_scene("two-spheres", beta=0.004)
@@ -190,7 +210,7 @@ class TestProposalsAndMethods:
         width = (prop.t_far - prop.t_near) / 48
         clipped = unclipped = 0
         for rows, t, delta in samples.groups:
-            if delta is None:  # background rows take the default spacing rule
+            if delta is None:  # idle pixels take no samples
                 continue
             if not merge:
                 assert np.all(t.shape[1] == spp_map[rows])
@@ -307,8 +327,8 @@ class TestProbeLift:
 
         padded = []
         for rows, t, delta in samples.groups:
-            if delta is None:  # background rows fall back and merge nothing
-                assert np.all(t.shape[1] == spp_map[rows])
+            if delta is None:  # idle pixels take no samples and merge nothing
+                assert t.shape == (rows.size, 0)
                 padded.append((rows, t, delta))
                 continue
             assert np.all(t.shape[1] == spp_map[rows] + lifted[rows])
@@ -355,6 +375,39 @@ class TestAdaptivePipeline:
         acc = prop.probe.weights.sum(axis=0)
         lifted = np.repeat(np.repeat(acc > 0.05, 4, 0), 4, 1)
         assert np.all(mask[lifted])
+
+    def test_idle_pixels_lose_nothing_the_uniform_rule_rendered(self):
+        # the rule idle pixels once took, as the reference: stratified
+        # positions over [t_near, t_far] from stream 29 at each pixel's
+        # budget, with the default deltas
+        pipe = Pipeline.from_config(Config.load(None, overrides={
+            "scene.name": "two-spheres", "scene.beta": "0.0015",
+            "camera.height": "64", "camera.width": "64"}), seed=3)
+        assert pipe.merge_probe and pipe.proposal_source == "probe-lift"
+        prop = prepare_proposals(pipe)
+        out, spp_map = adaptive_pipeline_render(pipe, prop)
+        spp = spp_map.ravel()
+        samples = robust_samples(prop, spp, pipe.seed, pipe)
+        groups = [g for g in samples.groups if g[1].shape[1]]
+        (idle_pix, _, _), = [g for g in samples.groups if not g[1].shape[1]]
+        for s in np.unique(spp[idle_pix]):
+            pix = idle_pix[spp[idle_pix] == s]
+            u = stratified_u_block(spp.size, int(s), pipe.seed, 29)[pix]
+            t = prop.t_near[pix, None] + u * (prop.t_far - prop.t_near)[pix, None]
+            groups.append((pix, t, None))
+        old = render_full(pipe.scene, pipe.camera, PixelSamples(64, 64, groups))
+
+        idle = np.zeros(spp.size, dtype=bool)
+        idle[idle_pix] = True
+        a, b = out.radiance.reshape(-1, 3), old.radiance.reshape(-1, 3)
+        assert np.array_equal(a[~idle], b[~idle])
+        assert np.any(b[idle] > 0.0)  # the uniform rule found something
+        assert np.max(np.abs(a[idle] - b[idle])) <= 2e-6
+        ref = render_reference(pipe.scene, pipe.camera, 384,
+                               seed=derive_seed(pipe.seed, 999)).radiance
+        assert abs(psnr(out.radiance, ref) - psnr(old.radiance, ref)) <= 1e-9
+        assert abs(worst_percentile_psnr(out.radiance, ref, 1.0)
+                   - worst_percentile_psnr(old.radiance, ref, 1.0)) <= 1e-9
 
 
 def _per_pixel(prop):

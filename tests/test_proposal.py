@@ -59,7 +59,7 @@ class TestBuildTarget:
         z = 9
         p = np.zeros((z, 1, 1))
         p[4, 0, 0] = 1.0
-        kernel = gaussian_kernel(1.0, 3)
+        kernel = gaussian_kernel(1.0)
         tgt = build_target(p, blur_sigma=1.0, suppress_eps=5e-3)
         expected = np.zeros(z)
         expected[1:8] = kernel
