@@ -26,7 +26,8 @@ from .config import Config, ConfigError
 from .geometry import Camera
 from .metrics import psnr, worst_percentile_psnr
 from .proposal import (UPSCALE, CheckpointError, ProposalNet, TrainConfig,
-                       blur_bins, load_checkpoint, probe_camera)
+                       blur_bins, live_pixels, load_checkpoint, parent_rows,
+                       probe_camera)
 from .render import (PixelSamples, ProbeOutput, RenderOutput, bin_midpoints,
                      camera_geometry, render_full, render_probe,
                      render_reference, render_uniform)
@@ -48,9 +49,11 @@ LIFT_BLUR_SIGMA = 1.0  # probe-lift's Gaussian blur along depth, in bins
 class ProposalField:
     """Proposal PDFs at full resolution, held as the distinct rows plus the
     row each pixel reads, and the probe they came from, which renders at
-    1/UPSCALE of the full resolution per side."""
+    1/UPSCALE of the full resolution per side. A pixel is idle when its row
+    is all-zero or it is not live (proposal.live_pixels); the checkpoint
+    source points every pixel that is not live at one shared uniform row."""
 
-    rows: np.ndarray       # (M, Z) C-order, normalized; all-zero: idle pixels
+    rows: np.ndarray       # (M, Z) C-order, normalized or all-zero
     index: np.ndarray      # (N,) each pixel's row of `rows`
     probe: ProbeOutput
     t_near: np.ndarray     # (N,) full-res ray intervals
@@ -58,18 +61,9 @@ class ProposalField:
 
     @property
     def pdf(self) -> np.ndarray:
-        """(N, Z) per-pixel PDFs, gathered on every read. The inverse-CDF
-        methods search it per pixel; the stages that depend on a row alone
-        run on `rows`."""
+        """(N, Z) per-pixel PDFs, gathered on every read. The sampler's
+        stages run once per row of `rows` and reach pixels through `index`."""
         return self.rows[self.index]
-
-
-def parent_rows(height: int, width: int) -> np.ndarray:
-    """Flattened probe pixel index (nearest parent) of every flattened pixel
-    of a height x width image: the probe pixel it lies in, UPSCALE per side."""
-    rows = (np.arange(height) // UPSCALE)[:, None] * (width // UPSCALE)
-    cols = (np.arange(width) // UPSCALE)[None, :]
-    return (rows + cols).ravel()
 
 
 def _require(ok: bool, message: str) -> None:
@@ -235,10 +229,12 @@ def _load_net(pipe: Pipeline) -> ProposalNet:
 
 
 def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> ProposalField:
-    """Build the proposal PDFs at the target resolution: one row per probe
-    pixel, which its children share, for probe-lift, and one row per pixel
-    for the other sources. With proposal.source=checkpoint, `net` (when
-    given) stands in for the configured checkpoint file."""
+    """Build the proposal PDFs at the target resolution: for probe-lift one
+    row per probe pixel, which its children share; for oracle-full one row
+    per pixel; for the checkpoint one row per live pixel, which the net
+    computes, plus the uniform row every other pixel shares (predict with
+    shared). With proposal.source=checkpoint, `net` (when given) stands in
+    for the configured checkpoint file."""
     z = pipe.z_bins
     if pipe.proposal_source == "checkpoint" and net is None:
         net = _load_net(pipe)
@@ -259,8 +255,7 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
         rows = normalize_pdf(dense.weights.reshape(z, -1).T)
         index = np.arange(len(rows))
     elif pipe.proposal_source == "checkpoint":
-        rows = net.predict(probe).reshape(z, -1).T
-        index = np.arange(len(rows))
+        rows, index = net.predict(probe, shared=True)
     else:
         raise ConfigError(f"unknown proposal source {pipe.proposal_source!r}")
     return ProposalField(rows=np.ascontiguousarray(rows), index=index, probe=probe,
@@ -279,7 +274,7 @@ def method_samples(method: str, prop: ProposalField, spp: int, seed: int,
             u = np.sort(block_uniforms(seed, stream, (n, spp)), axis=1)
         else:
             u = stratified_u_block(n, spp, seed, stream)
-        t = inverse_cdf_sample_grid(prop.pdf, prop.t_near, prop.t_far, u)
+        t = inverse_cdf_sample_grid(prop.rows, prop.t_near, prop.t_far, u, prop.index)
         return PixelSamples(pipe.camera.height, pipe.camera.width,
                             [(np.arange(n), t, None)])
 
@@ -313,7 +308,7 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     # the masks come back one row per pixel, as perfbench's trace hook reads
     # them; the budget loop takes each distinct row's mask from its first pixel
     support = nucleus_support_grid(prop.rows, pipe.tau, prop.index)
-    idle = ~prop.rows.any(axis=1)[prop.index] | (_parent_opacity(prop, height, width) <= 0.0)
+    idle = ~prop.rows.any(axis=1)[prop.index] | ~live_pixels(prop.probe, height, width)
     bin_width = (prop.t_far - prop.t_near) / z
 
     if pipe.merge_probe:
@@ -381,11 +376,6 @@ def _probe_lift_mask(weights: np.ndarray) -> np.ndarray:
 COVERAGE_OPACITY = 0.05  # least parent probe opacity of a covered pixel
 
 
-def _parent_opacity(prop: ProposalField, height: int, width: int) -> np.ndarray:
-    """(N,) accumulated opacity of each pixel's parent probe ray."""
-    return prop.probe.weights.sum(axis=0).ravel()[parent_rows(height, width)]
-
-
 def coverage_mask(prop: ProposalField, height: int, width: int) -> np.ndarray:
     """Pixels whose own parent probe ray carries opacity.
 
@@ -393,7 +383,7 @@ def coverage_mask(prop: ProposalField, height: int, width: int) -> np.ndarray:
     supervised, so they must not absorb the boosted-budget ranking; the
     uncertain pixels that deserve the boost share a parent with real signal.
     """
-    return _parent_opacity(prop, height, width) > COVERAGE_OPACITY
+    return live_pixels(prop.probe, height, width, COVERAGE_OPACITY)
 
 
 def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField

@@ -1,17 +1,20 @@
 """Minimal CNN building blocks with hand-derived gradients.
 
 Just the pieces the proposal upsampler needs: 3x3 same-padding convolution
-(im2col + BLAS), ReLU, exact bilinear upsampling expressed as fixed row/column
-interpolation matrices, channel softmax, and the fused softmax-cross-entropy
-head. No autodiff graph: each op returns what its backward pass needs, and the
+(one small patch buffer and one BLAS GEMM per band of output positions, at
+every position or at a chosen subset), ReLU, exact bilinear upsampling
+expressed as fixed row/column interpolation matrices, channel softmax, and
+the fused softmax-cross-entropy head. No autodiff graph: each op returns what its backward pass needs, and the
 network wires them explicitly.
 
-Tensors are (B, C, H, W). Convolutions cache their input patches, so memory
-scales with activation size; fine at the resolutions this project runs.
+Tensors are (B, C, H, W). Convolutions cache their zero-padded input, not its
+patches: the forward builds the patches of one band at a time, and the
+backward only those of the box its upstream gradient covers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +40,83 @@ def he_init(rng: np.random.Generator, c_out: int, c_in: int, k: int, dtype) -> n
     return (rng.standard_normal((c_out, c_in, k, k)) * std).astype(dtype)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*k*k, H*W) patch matrix for same-padding conv."""
-    b, c, h, w = x.shape
+BAND = 512  # about this many output positions per patch buffer (see _conv)
+
+
+class ConvCache(NamedTuple):
+    """What conv2d_backward needs of a forward: the input, zero-padded by
+    k // 2 on every side. With input_grad False, backward skips the input
+    gradient and returns None for it (nothing upstream needs it)."""
+
+    padded: np.ndarray
+    input_grad: bool = True
+
+
+def _pad(x: np.ndarray, k: int) -> np.ndarray:
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((b, c, k * k, h * w), dtype=x.dtype)
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
+def _patches(xp: np.ndarray, r0: int, r1: int, c0: int, c1: int, k: int) -> np.ndarray:
+    """(B, C*k*k, (r1-r0)*(c1-c0)) patch matrix of the output positions in
+    rows r0..r1-1 and columns c0..c1-1, from the padded input xp."""
+    b, c = xp.shape[:2]
+    cols = np.empty((b, c, k * k, r1 - r0, c1 - c0), dtype=xp.dtype)
     for ky in range(k):
         for kx in range(k):
-            cols[:, :, ky * k + kx, :] = xp[:, :, ky:ky + h, kx:kx + w].reshape(b, c, -1)
-    return cols.reshape(b, c * k * k, h * w)
+            cols[:, :, ky * k + kx] = xp[:, :, r0 + ky:r1 + ky, c0 + kx:c1 + kx]
+    return cols.reshape(b, c * k * k, -1)
+
+
+def _conv(xp: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+          needed: np.ndarray | None) -> np.ndarray:
+    """Same-padding conv of the padded input xp at the positions where the
+    (H, W) mask needed is True (everywhere when None), 0 elsewhere: one
+    patch buffer and one GEMM per band of about BAND positions, whole rows
+    copied as slices when every position is needed, else gathered. Bands
+    are split evenly, so each GEMM stays above the 1e6 multiply-adds below
+    which OpenBLAS takes a small-matrix kernel that sums in another order;
+    above it, each output is the same bits as in one whole-image GEMM.
+    """
+    b, c_in, hp, wp = xp.shape
+    c_out, c_in_w, k, _ = weight.shape
+    if c_in != c_in_w:
+        raise ValueError(f"conv expects {c_in_w} input channels, got {c_in}")
+    h, w = hp - 2 * (k // 2), wp - 2 * (k // 2)
+    w2d = weight.reshape(c_out, -1)
+    dt = np.result_type(xp, weight)
+    rows = max(1, BAND // w)  # rows per band
+    if needed is not None and needed.all():
+        needed = None
+    if needed is None:
+        y = np.empty((b, c_out, h * w), dtype=dt)
+        for band in np.array_split(np.arange(h), -(-h // rows)):
+            r0, r1 = band[0], band[-1] + 1
+            out = np.matmul(w2d[None], _patches(xp, r0, r1, 0, w, k))  # via BLAS
+            out += bias[None, :, None]
+            y[:, :, r0 * w:r1 * w] = out
+        return y.reshape(b, c_out, h, w)
+
+    y = np.zeros((b, c_out, h * w), dtype=dt)
+    pos = np.flatnonzero(needed)
+    if pos.size == 0:
+        return y.reshape(b, c_out, h, w)
+    flat_x = xp.reshape(b, c_in, hp * wp)
+    offsets = (np.arange(k)[:, None] * wp + np.arange(k)[None, :]).ravel()
+    channels = np.arange(b * c_out)[:, None] * (h * w)
+    for p in np.array_split(pos, -(-pos.size // (rows * w))):
+        corner = p // w * wp + p % w  # each patch's top left, in xp
+        cols = np.take(flat_x, offsets[:, None] + corner[None, :], axis=2)
+        out = np.matmul(w2d[None], cols.reshape(b, c_in * k * k, -1))
+        out += bias[None, :, None]
+        y.reshape(-1)[channels + p[None, :]] = out.reshape(b * c_out, -1)
+    return y.reshape(b, c_out, h, w)
 
 
 def _col2im(cols: np.ndarray, shape, k: int) -> np.ndarray:
-    """Adjoint of _im2col without the final crop: scatter-add the patches of
-    a (B, C, H, W) grid onto that grid grown by k // 2 on every side."""
+    """Adjoint of the patch matrix without the final crop: scatter-add the
+    patches of a (B, C, H, W) grid onto that grid grown by k // 2 on every
+    side."""
     b, c, h, w = shape
     pad = k // 2
     xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
@@ -64,37 +129,42 @@ def _col2im(cols: np.ndarray, shape, k: int) -> np.ndarray:
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """Same-padding stride-1 convolution; returns (y, cache)."""
-    b, c_in, h, w = x.shape
-    c_out, c_in_w, k, _ = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(f"conv expects {c_in_w} input channels, got {c_in}")
-    cols = _im2col(x, k)
-    w2d = weight.reshape(c_out, -1)
-    y = np.matmul(w2d[None], cols)  # (b, c_out, h*w) via BLAS
-    y += bias[None, :, None]
-    return y.reshape(b, c_out, h, w), (cols, x.shape, weight.shape)
+    xp = _pad(x, weight.shape[-1])
+    return _conv(xp, weight, bias, None), ConvCache(xp)
 
 
-def conv2d_backward(dy: np.ndarray, weight: np.ndarray, cache):
-    """Gradients (dx, dw, db) of conv2d_forward. Only the bounding box of the
-    nonzero entries of dy is visited, so a gradient confined to a patch costs
-    the patch, not the whole grid."""
-    cols, x_shape, w_shape = cache
+def conv2d_at(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+              needed: np.ndarray) -> np.ndarray:
+    """conv2d_forward's output at the positions where the (H, W) bool mask
+    needed is True, and 0 elsewhere; no cache."""
+    return _conv(_pad(x, weight.shape[-1]), weight, bias, needed)
+
+
+def conv2d_backward(dy: np.ndarray, weight: np.ndarray, cache: ConvCache):
+    """Gradients (dx, dw, db) of conv2d_forward; dx is None when the cache
+    says the input needs none. Only the bounding box of the nonzero entries
+    of dy is visited, and only its patches are built, so a gradient
+    confined to a patch costs the patch, not the whole grid."""
+    xp = cache.padded
     b, c_out, h, w = dy.shape
-    k = w_shape[-1]
+    k = weight.shape[-1]
     pad = k // 2
-    dx = np.zeros(x_shape, dtype=np.result_type(weight, dy))
+    x_shape = (b, weight.shape[1], h, w)
+    dx = (np.zeros(x_shape, dtype=np.result_type(weight, dy))
+          if cache.input_grad else None)
     rows = np.flatnonzero(dy.any(axis=(0, 1, 3)))
     cs = np.flatnonzero(dy.any(axis=(0, 1, 2)))
     if rows.size == 0:
-        dt = np.result_type(dy, cols)
-        return dx, np.zeros(w_shape, dtype=dt), np.zeros(c_out, dtype=dt)
+        dt = np.result_type(dy, xp)
+        return dx, np.zeros(weight.shape, dtype=dt), np.zeros(c_out, dtype=dt)
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cs[0], cs[-1] + 1
     hb, wb = r1 - r0, c1 - c0
     dy_mat = np.ascontiguousarray(dy[:, :, r0:r1, c0:c1]).reshape(b, c_out, hb * wb)
-    box_cols = cols.reshape(b, -1, h, w)[:, :, r0:r1, c0:c1].reshape(b, -1, hb * wb)
-    dw = np.matmul(dy_mat, box_cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    box_cols = _patches(xp, r0, r1, c0, c1, k)
+    dw = np.matmul(dy_mat, box_cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
     db = dy_mat.sum(axis=(0, 2))
+    if dx is None:
+        return dx, dw, db
     dcols = np.matmul(weight.reshape(c_out, -1).T[None], dy_mat)
     # the box's patches reach pad beyond it; what lands on the zero padding
     # of the grid is dropped

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Camera
-from .nn import (AdamState, Param, adam_step, conv2d_backward, conv2d_forward,
-                 he_init, relu_backward, relu_forward, softmax_ce,
-                 softmax_channels, upsample_backward, upsample_forward)
+from .nn import (AdamState, Param, adam_step, conv2d_at, conv2d_backward,
+                 conv2d_forward, he_init, relu_backward, relu_forward,
+                 softmax_ce, softmax_channels, upsample_backward,
+                 upsample_forward)
 from .render import ProbeOutput, render_probe
 from .scenes import SceneOracle
 
@@ -96,6 +97,32 @@ def _layers(z: int, c: int) -> list[tuple]:
             ("conv", "conv5", z, c), ("relu",), ("conv", "conv6", c, z)]
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """A (H, W) bool mask grown by one pixel on every side (3x3 max)."""
+    grown = np.pad(mask, 1)
+    out = np.zeros_like(mask)
+    for dy in range(3):
+        for dx in range(3):
+            out |= grown[dy:dy + mask.shape[0], dx:dx + mask.shape[1]]
+    return out
+
+
+def _needed(layers: list[tuple], live: np.ndarray) -> list:
+    """Per layer, the (H, W) mask of the output positions the logits at the
+    live positions read, for the layers after the last upsample (None for
+    the layers before it, which run dense). Walking back from the logits,
+    each 3x3 conv grows the mask by one pixel."""
+    needed = [None] * len(layers)
+    mask = live
+    for i in reversed(range(len(layers))):
+        if layers[i][0] == "up":
+            break
+        needed[i] = mask
+        if layers[i][0] == "conv":
+            mask = _dilate(mask)
+    return needed
+
+
 class ProposalNet:
     """Conv upsampler from probe inputs to per-pixel depth distributions:
     the layers of _layers, then a channel softmax. The final conv starts at
@@ -122,10 +149,16 @@ class ProposalNet:
             p.zero_grad()
 
     def forward(self, probe_weights: np.ndarray, image: np.ndarray,
-                dirs: np.ndarray, cache: list | None = None) -> np.ndarray:
+                dirs: np.ndarray, cache: list | None = None,
+                live: np.ndarray | None = None) -> np.ndarray:
         """probe_weights (B,Z,h,w), image (B,3,h,w), dirs (B,3,h,w) ->
         logits (B, Z, 4h, 4w). With a list for cache, appends each layer's
-        cache to it for backward."""
+        cache to it for backward. With a (4h, 4w) bool mask for live, the
+        layers after the last upsample run only at the positions the live
+        logits read, and the logits are 0 at the other pixels; the live
+        logits are the same bits as without the mask."""
+        if cache is not None and live is not None:
+            raise ValueError("a forward restricted to live pixels has no cache")
         if probe_weights.shape[1] != self.z_bins:
             raise ValueError(f"expected {self.z_bins} bins, got {probe_weights.shape[1]}")
         if image.shape[-2:] != probe_weights.shape[-2:] or dirs.shape[-2:] != probe_weights.shape[-2:]:
@@ -134,10 +167,15 @@ class ProposalNet:
         x = np.concatenate([probe_weights.astype(dt), image.astype(dt),
                             dirs.astype(dt)], axis=1)
         y = x
-        for kind, *args in _layers(self.z_bins, self.hidden):
+        layers = _layers(self.z_bins, self.hidden)
+        needed = [None] * len(layers) if live is None else _needed(layers, live)
+        for (kind, *args), mask in zip(layers, needed):
             if kind == "conv":
                 w, b = self.convs[args[0]]
-                y, c = conv2d_forward(y, w.value, b.value)
+                if mask is None:
+                    y, c = conv2d_forward(y, w.value, b.value)
+                else:
+                    y = conv2d_at(y, w.value, b.value, mask)
             elif kind == "relu":
                 y, c = relu_forward(y)
             elif kind == "up":
@@ -148,10 +186,32 @@ class ProposalNet:
                 cache.append(c)
         return y
 
-    def predict(self, probe: ProbeOutput) -> np.ndarray:
-        """Softmax proposal grid (Z, 4h, 4w) from a probe."""
-        logits = self.forward(*probe_inputs(probe, self.dtype))
-        return softmax_channels(logits.astype(np.float64))[0]
+    def predict(self, probe: ProbeOutput, shared: bool = False):
+        """Softmax proposal grid (Z, 4h, 4w) from a probe, every column
+        summing to 1. Only the live pixels (live_pixels) run the net's
+        full-resolution layers, and their columns are the bits of the softmax
+        of forward's logits; every idle pixel gets the uniform distribution
+        1/Z. With shared, the grid comes as its distinct rows instead: (rows,
+        index), where rows (n_live + 1, Z) holds the live pixels' rows in
+        raster order and then the uniform row, and index (4h * 4w,) is each
+        flattened pixel's row."""
+        z = self.z_bins
+        h, w = (UPSCALE * n for n in probe.weights.shape[1:])
+        live = live_pixels(probe, h, w)
+        n_live = int(np.count_nonzero(live))
+        rows = np.empty((n_live + 1, z))
+        rows[n_live] = 1.0 / z
+        if n_live:
+            logits = self.forward(*probe_inputs(probe, self.dtype), live=live.reshape(h, w))
+            # np.compress keeps the live logits contiguous, so the softmax
+            # reduces them in the order it reduces the whole grid
+            cols = np.compress(live, logits.reshape(1, z, -1), axis=2).astype(np.float64)
+            rows[:n_live] = softmax_channels(cols)[0].T
+        index = np.full(live.size, n_live)
+        index[live] = np.arange(n_live)
+        if shared:
+            return rows, index
+        return rows[index].T.reshape(z, h, w)
 
     def backward(self, d_logits: np.ndarray, cache: list) -> None:
         """Accumulate parameter gradients from the head gradient, through the
@@ -160,6 +220,8 @@ class ProposalNet:
         if len(cache) != len(layers):
             raise RuntimeError("backward needs the cache of one forward(cache=[])")
         d = d_logits.astype(self.dtype)
+        # the first layer's input has no parameters upstream: no gradient
+        cache = [cache[0]._replace(input_grad=False)] + cache[1:]
         for (kind, *args), c in zip(reversed(layers), reversed(cache)):
             if kind == "conv":
                 w, b = self.convs[args[0]]
@@ -193,6 +255,24 @@ def probe_camera(camera: Camera) -> Camera:
     resolution per side."""
     return Camera(camera.position, camera.look_at, camera.up, camera.fov_y,
                   camera.height // UPSCALE, camera.width // UPSCALE)
+
+
+def parent_rows(height: int, width: int) -> np.ndarray:
+    """Flattened probe pixel index (nearest parent) of every flattened pixel
+    of a height x width image: the probe pixel it lies in, UPSCALE per side."""
+    rows = (np.arange(height) // UPSCALE)[:, None] * (width // UPSCALE)
+    cols = (np.arange(width) // UPSCALE)[None, :]
+    return (rows + cols).ravel()
+
+
+def live_pixels(probe: ProbeOutput, height: int, width: int,
+                min_opacity: float = 0.0) -> np.ndarray:
+    """(height * width,) bool: the flattened pixels of the full-resolution
+    image (UPSCALE times the probe's per side) whose parent probe ray's
+    weights sum to more than min_opacity. At the default 0 these are the
+    live pixels, the only ones that take samples."""
+    opacity = probe.weights.sum(axis=0).ravel()
+    return opacity[parent_rows(height, width)] > min_opacity
 
 
 def probe_inputs(probe: ProbeOutput, dtype=np.float32):

@@ -76,49 +76,56 @@ def normalize_pdf(weights: np.ndarray) -> np.ndarray:
     return p
 
 
-def _searchsorted_rows(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row-wise searchsorted (side="right") via the offset trick; rows must be
-    per-row sorted with values in [0, 1] (scaled by caller)."""
+def _searchsorted_rows(rows: np.ndarray, queries: np.ndarray,
+                       index: np.ndarray) -> np.ndarray:
+    """Row-wise searchsorted (side="right") via the offset trick: query row i
+    searches rows[index[i]]. rows must be per-row sorted with values in
+    [0, 1] (scaled by caller)."""
     n, m = rows.shape
-    off = 2.0 * np.arange(n)[:, None]
-    flat = np.searchsorted((rows + off).ravel(), (queries + off).ravel(), side="right")
-    return flat.reshape(queries.shape) - np.arange(n)[:, None] * m
+    off = 2.0 * np.arange(n)
+    flat = np.searchsorted((rows + off[:, None]).ravel(),
+                           (queries + off[index, None]).ravel(), side="right")
+    return flat.reshape(queries.shape) - index[:, None] * m
 
 
 def inverse_cdf_sample_grid(probs: np.ndarray, t_near: np.ndarray, t_far: np.ndarray,
-                            u: np.ndarray) -> np.ndarray:
+                            u: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Vectorized inverse-CDF sampling over Z equal-width bins of
-    [t_near, t_far]: probs (N, Z), u (N, K) -> sorted t (N, K)."""
+    [t_near, t_far]: probs (M, Z), t_near, t_far (N,), u (N, K) -> sorted t
+    (N, K). Row i samples probs[index[i]] (probs[i] without index, M = N)."""
     z = np.shape(probs)[1]
     edges = t_near[:, None] + (np.arange(z + 1) / z) * (t_far - t_near)[:, None]
-    return inverse_cdf_sample_edges(probs, edges, u)
+    return inverse_cdf_sample_edges(probs, edges, u, index)
 
 
 def inverse_cdf_sample_edges(probs: np.ndarray, edges: np.ndarray,
-                             u: np.ndarray) -> np.ndarray:
+                             u: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF sampling over per-row interval edges: bin j of row i is
-    [edges[i, j], edges[i, j+1]]. probs (N, Z), edges (N, Z+1) ascending,
-    u (N, K) -> sorted t (N, K). All-zero rows fall back to uniform over
+    [edges[i, j], edges[i, j+1]]. probs (M, Z), edges (N, Z+1) ascending,
+    u (N, K) -> sorted t (N, K); row i samples probs[index[i]] (probs[i]
+    without index, M = N), and each row of probs is normalized and summed
+    into its CDF once. All-zero rows fall back to uniform over
     [edges[:, 0], edges[:, -1]]."""
     p = np.asarray(probs, dtype=np.float64)
-    n, z = p.shape
+    m, z = p.shape
     total = p.sum(axis=1)
     ok = total > 0.0
     pn = p / np.where(ok, total, 1.0)[:, None]
-    cdf = np.concatenate([np.zeros((n, 1)), np.cumsum(pn, axis=1)], axis=1)
+    cdf = np.concatenate([np.zeros((m, 1)), np.cumsum(pn, axis=1)], axis=1)
     cdf[:, -1] = 1.0  # close the CDF against rounding
+    row = np.arange(m) if index is None else index
 
-    idx = _searchsorted_rows(cdf, u) - 1
+    idx = _searchsorted_rows(cdf, u, row) - 1
     idx = np.clip(idx, 0, z - 1)
-    lo = np.take_along_axis(cdf, idx, axis=1)
-    pj = np.take_along_axis(pn, idx, axis=1)
+    lo = cdf[row[:, None], idx]
+    pj = pn[row[:, None], idx]
     frac = np.where(pj > 0.0, (u - lo) / np.where(pj > 0.0, pj, 1.0), 0.0)
 
     left = np.take_along_axis(edges, idx, axis=1)
     right = np.take_along_axis(edges, idx + 1, axis=1)
     t = left + frac * (right - left)
     t_fallback = edges[:, :1] + u * (edges[:, -1:] - edges[:, :1])
-    t = np.where(ok[:, None], t, t_fallback)
+    t = np.where(ok[row, None], t, t_fallback)
     return np.sort(t, axis=1)
 
 

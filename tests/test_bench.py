@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import small_camera
+from conftest import small_camera, vacuum_scene
 from volsampler import bench
 from volsampler.bench import (CSV_HEADER, LIFT_BLUR_SIGMA, MetricRow, Pipeline,
                               _probe_lift_mask, adaptive_pipeline_render,
@@ -467,15 +467,42 @@ class TestSharedRows:
         want = normalize_pdf(blurred.T)[parent_rows(32, 32)]
         assert prop.pdf.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("source", ["oracle-full", "checkpoint"])
+    @pytest.mark.parametrize("source", ["oracle-full"])
     def test_other_sources_hold_one_row_per_pixel(self, source):
         cam = small_camera(16)
         pipe = tiny_spec(scene=make_scene("two-spheres", beta=0.004), camera=cam,
                          proposal_source=source)
-        net = ProposalNet(z_bins=48, hidden=4, seed=0) if source == "checkpoint" else None
-        prop = prepare_proposals(pipe, net=net)
+        prop = prepare_proposals(pipe)
         assert prop.rows.shape == (256, 48)
         assert np.array_equal(prop.index, np.arange(256))
+
+    def test_checkpoint_holds_live_rows_and_one_uniform_row(self):
+        # one row per live pixel (parent probe ray with opacity), in raster
+        # order, then the uniform row every idle pixel shares
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=make_scene("two-spheres", beta=0.004), camera=cam,
+                         proposal_source="checkpoint")
+        net = ProposalNet(z_bins=48, hidden=4, seed=0)
+        prop = prepare_proposals(pipe, net=net)
+        live = prop.probe.weights.sum(axis=0).ravel()[parent_rows(16, 16)] > 0.0
+        n_live = int(live.sum())
+        assert 0 < n_live < 256
+        assert prop.rows.shape == (n_live + 1, 48) and prop.rows.flags.c_contiguous
+        want = np.full(256, n_live)
+        want[live] = np.arange(n_live)
+        assert np.array_equal(prop.index, want)
+        assert np.all(prop.rows[n_live] == 1.0 / 48)
+        rows, index = net.predict(prop.probe, shared=True)
+        assert rows.tobytes() == prop.rows.tobytes() and np.array_equal(index, want)
+
+    def test_probe_with_no_live_pixel_renders_black(self):
+        cam = small_camera(16)
+        pipe = tiny_spec(scene=vacuum_scene(), camera=cam, proposal_source="checkpoint")
+        prop = prepare_proposals(pipe, net=ProposalNet(z_bins=48, hidden=4, seed=0))
+        assert prop.rows.shape == (1, 48)
+        assert np.array_equal(prop.index, np.zeros(256, dtype=prop.index.dtype))
+        out, _ = adaptive_pipeline_render(pipe, prop)
+        assert np.all(out.radiance == 0.0) and np.all(out.accumulated_opacity == 0.0)
 
     def test_nucleus_returns_one_mask_row_per_pixel(self, monkeypatch):
         # perfbench's trace hook indexes the returned masks with a per-pixel

@@ -75,6 +75,16 @@ class TestConv:
         assert rel_err(dw, finite_diff(loss, w)) < 1e-6
         assert rel_err(db, finite_diff(loss, b)) < 1e-6
 
+    def test_backward_without_input_grad(self, rng):
+        x = rng.standard_normal((1, 3, 5, 6)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        _, cache = nn.conv2d_forward(x, w, np.zeros(2, np.float32))
+        dy = rng.standard_normal((1, 2, 5, 6)).astype(np.float32)
+        dx, dw, db = nn.conv2d_backward(dy, w, cache)
+        none, dw2, db2 = nn.conv2d_backward(dy, w, cache._replace(input_grad=False))
+        assert none is None and dx is not None
+        assert np.array_equal(dw, dw2) and np.array_equal(db, db2)
+
     def test_zero_upstream_gives_exact_zeros(self, rng):
         x = rng.standard_normal((1, 3, 4, 5)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
@@ -83,6 +93,52 @@ class TestConv:
         for got, like in ((dx, x), (dw, w), (db, np.zeros(2, np.float32))):
             assert got.shape == like.shape and got.dtype == like.dtype
             assert np.all(got == 0.0)
+
+
+class TestConvAt:
+    """conv2d_at computes a chosen subset of conv2d_forward's positions, in
+    bands of about nn.BAND positions, and must give the same bits there."""
+
+    def conv_inputs(self, rng, c_in, c_out, h, w):
+        x = rng.standard_normal((1, c_in, h, w)).astype(np.float32)
+        wt = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.2).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        return x, wt, b
+
+    @pytest.mark.parametrize("c_in,c_out,h,w", [(64, 24, 40, 40), (24, 64, 33, 29),
+                                                (64, 64, 12, 150)])
+    def test_subset_is_dense_bits(self, rng, c_in, c_out, h, w):
+        # every mask holds enough positions that its GEMMs stay above the
+        # 1e6 multiply-adds of BLAS's small-matrix kernel (see nn._conv)
+        x, wt, b = self.conv_inputs(rng, c_in, c_out, h, w)
+        dense, _ = nn.conv2d_forward(x, wt, b)
+        blob = np.hypot(*np.mgrid[:h, :w] - np.array([h / 2, w / 3])[:, None, None]) < h / 3
+        for needed in (rng.random((h, w)) < 0.3, blob, np.ones((h, w), bool)):
+            got = nn.conv2d_at(x, wt, b, needed)
+            assert got.shape == dense.shape and got.dtype == dense.dtype
+            assert np.array_equal(got[:, :, needed], dense[:, :, needed])
+            assert np.all(got[:, :, ~needed] == 0.0)
+
+    @pytest.mark.parametrize("w", [7, 13, 40])
+    def test_widths_not_a_multiple_of_the_band(self, rng, monkeypatch, w):
+        # bands of 16 positions: 2 rows of 7, 1 row of 13 (3 short), or 1 row
+        # of 40 (wider than a band). The channels are wide enough that every
+        # band's GEMM stays above 1e6 multiply-adds (see nn._conv).
+        x, wt, b = self.conv_inputs(rng, 128, 160, 9, w)
+        dense, _ = nn.conv2d_forward(x, wt, b)
+        needed = rng.random((9, w)) < 0.5
+        monkeypatch.setattr(nn, "BAND", 16)
+        small, _ = nn.conv2d_forward(x, wt, b)
+        assert np.array_equal(small, dense)
+        got = nn.conv2d_at(x, wt, b, needed)
+        assert np.array_equal(got[:, :, needed], dense[:, :, needed])
+        assert np.all(got[:, :, ~needed] == 0.0)
+
+    def test_no_positions_give_zeros(self, rng):
+        x, wt, b = self.conv_inputs(rng, 3, 2, 4, 5)
+        got = nn.conv2d_at(x, wt, b, np.zeros((4, 5), bool))
+        assert got.shape == (1, 2, 4, 5) and got.dtype == np.float32
+        assert np.all(got == 0.0)
 
 
 class TestReluAndUpsample:

@@ -10,9 +10,9 @@ from volsampler.nn import (AdamState, adam_step, he_init, softmax_ce,
                           softmax_channels)
 from volsampler.proposal import (HALO, CheckpointError, ProposalNet,
                                  TrainConfig, build_target,
-                                 forward_patch, gaussian_kernel, load_checkpoint,
-                                 patch_pixels, probe_camera, probe_inputs,
-                                 render_gt_patch, save_checkpoint,
+                                 forward_patch, gaussian_kernel, live_pixels,
+                                 load_checkpoint, patch_pixels, probe_camera,
+                                 probe_inputs, render_gt_patch, save_checkpoint,
                                  train, train_step)
 from volsampler.render import (bin_midpoints, camera_geometry, integrate_batch,
                                render_probe)
@@ -187,6 +187,58 @@ class TestProposalNetForward:
         assert probs.shape == (8, 16, 16)
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-6)
         assert np.all(probs > 0)
+
+
+class TestLiveRows:
+    """predict runs the full-resolution layers for the live pixels alone and
+    gives every idle pixel one shared uniform row. The net has the default
+    sizes, so every GEMM stays above BLAS's small-matrix kernel (nn._conv)."""
+
+    def setup_net(self):
+        rng = np.random.default_rng(5)
+        net = ProposalNet(z_bins=192, hidden=64, seed=0)
+        final = net.convs["conv6"][0]  # zero at init: give the logits texture
+        final.value = (rng.standard_normal(final.value.shape) * 0.05).astype(np.float32)
+        probe = render_probe(make_scene("two-spheres", beta=0.004), small_camera(8), 192)
+        live = live_pixels(probe, 32, 32)
+        assert live.any() and not live.all()  # corners miss both spheres
+        return net, probe, live
+
+    def test_live_logits_are_forward_bits(self):
+        net, probe, live = self.setup_net()
+        dense = net.forward(*probe_inputs(probe))
+        sparse = net.forward(*probe_inputs(probe), live=live.reshape(32, 32))
+        assert sparse.shape == dense.shape == (1, 192, 32, 32)
+        flat_dense, flat_sparse = dense.reshape(192, -1), sparse.reshape(192, -1)
+        assert np.array_equal(flat_sparse[:, live], flat_dense[:, live])
+        assert np.all(flat_sparse[:, ~live] == 0.0)
+
+    def test_idle_pixels_share_one_uniform_row(self):
+        net, probe, live = self.setup_net()
+        rows, index = net.predict(probe, shared=True)
+        n_live = int(live.sum())
+        assert rows.shape == (n_live + 1, 192) and rows.flags.c_contiguous
+        assert np.all(rows[n_live] == 1.0 / 192)
+        assert np.all(index[~live] == n_live)
+        assert np.array_equal(index[live], np.arange(n_live))
+        logits = net.forward(*probe_inputs(probe)).astype(np.float64)
+        want = softmax_channels(logits)[0].reshape(192, -1)[:, live].T
+        assert np.array_equal(rows[:n_live], want)
+        # the dense grid is the same rows, one column per pixel
+        grid = net.predict(probe)
+        assert grid.shape == (192, 32, 32)
+        assert np.array_equal(grid.reshape(192, -1).T, rows[index])
+        np.testing.assert_allclose(grid.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_no_live_pixel_runs_no_net(self, monkeypatch):
+        net = ProposalNet(z_bins=16, hidden=4, seed=0)
+        probe = render_probe(make_scene("two-spheres", beta=0.004), Camera(
+            (0.0, 0.0, 2.8), (0.0, 0.0, 9.0), (0.0, 1.0, 0.0), 0.69, 4, 4), 16)
+        assert not probe.weights.any()  # the camera looks away from the scene
+        monkeypatch.setattr(ProposalNet, "forward", None)
+        rows, index = net.predict(probe, shared=True)
+        assert rows.shape == (1, 16) and np.all(rows == 1.0 / 16)
+        assert np.array_equal(index, np.zeros(256, dtype=index.dtype))
 
 
 class TestBackwardProperties:
