@@ -29,7 +29,7 @@ from .proposal import (UPSCALE, CheckpointError, ProposalNet, TrainConfig,
                        blur_bins, live_pixels, load_checkpoint, parent_rows,
                        probe_camera)
 from .render import (PixelSamples, ProbeOutput, RenderOutput, bin_midpoints,
-                     camera_geometry, render_full, render_probe,
+                     camera_geometry, dense_weights, render_full, render_probe,
                      render_reference, render_uniform)
 from .sampling import (SampleBudget, adaptive_score_grid, allocate_budgets,
                        block_uniforms, budget_sample_grid, derive_seed,
@@ -251,8 +251,8 @@ def prepare_proposals(pipe: Pipeline, net: ProposalNet | None = None) -> Proposa
         rows = normalize_pdf(blurred.T)
         index = parent_rows(pipe.camera.height, pipe.camera.width)
     elif pipe.proposal_source == "oracle-full":
-        dense = render_probe(pipe.scene, pipe.camera, z, workers=pipe.workers)
-        rows = normalize_pdf(dense.weights.reshape(z, -1).T)
+        dense = dense_weights(pipe.scene, pipe.camera, z, workers=pipe.workers)
+        rows = normalize_pdf(dense.reshape(z, -1).T)
         index = np.arange(len(rows))
     elif pipe.proposal_source == "checkpoint":
         rows, index = net.predict(probe, shared=True)

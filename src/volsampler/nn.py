@@ -74,7 +74,9 @@ def _conv(xp: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     (H, W) mask needed is True (everywhere when None), 0 elsewhere: one
     patch buffer and one GEMM per band of about BAND positions, whole rows
     copied as slices when every position is needed, else gathered. Bands
-    are split evenly, so each GEMM stays above the 1e6 multiply-adds below
+    are split evenly, and a gathered band is never narrower than the
+    narrowest dense one (a mask with fewer positions is padded with copies
+    of its first), so each GEMM stays above the 1e6 multiply-adds below
     which OpenBLAS takes a small-matrix kernel that sums in another order;
     above it, each output is the same bits as in one whole-image GEMM.
     """
@@ -104,10 +106,12 @@ def _conv(xp: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     flat_x = xp.reshape(b, c_in, hp * wp)
     offsets = (np.arange(k)[:, None] * wp + np.arange(k)[None, :]).ravel()
     channels = np.arange(b * c_out)[:, None] * (h * w)
-    for p in np.array_split(pos, -(-pos.size // (rows * w))):
-        corner = p // w * wp + p % w  # each patch's top left, in xp
+    narrowest = h // -(-h // rows) * w  # positions in the narrowest dense band
+    for p in np.array_split(pos, max(1, pos.size // narrowest)):
+        q = np.pad(p, (0, max(narrowest - p.size, 0)), mode="edge")
+        corner = q // w * wp + q % w  # each patch's top left, in xp
         cols = np.take(flat_x, offsets[:, None] + corner[None, :], axis=2)
-        out = np.matmul(w2d[None], cols.reshape(b, c_in * k * k, -1))
+        out = np.matmul(w2d[None], cols.reshape(b, c_in * k * k, -1))[:, :, :p.size]
         out += bias[None, :, None]
         y.reshape(-1)[channels + p[None, :]] = out.reshape(b * c_out, -1)
     return y.reshape(b, c_out, h, w)
@@ -134,10 +138,11 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
 
 
 def conv2d_at(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-              needed: np.ndarray) -> np.ndarray:
-    """conv2d_forward's output at the positions where the (H, W) bool mask
-    needed is True, and 0 elsewhere; no cache."""
-    return _conv(_pad(x, weight.shape[-1]), weight, bias, needed)
+              needed: np.ndarray):
+    """conv2d_forward at the positions where the (H, W) bool mask needed is
+    True, and 0 elsewhere; returns (y, cache), the cache as conv2d_forward's."""
+    xp = _pad(x, weight.shape[-1])
+    return _conv(xp, weight, bias, needed), ConvCache(xp)
 
 
 def conv2d_backward(dy: np.ndarray, weight: np.ndarray, cache: ConvCache):

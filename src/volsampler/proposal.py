@@ -21,7 +21,7 @@ from .nn import (AdamState, Param, adam_step, conv2d_at, conv2d_backward,
                  conv2d_forward, he_init, relu_backward, relu_forward,
                  softmax_ce, softmax_channels, upsample_backward,
                  upsample_forward)
-from .render import ProbeOutput, render_probe
+from .render import ProbeOutput, dense_weights, render_probe
 from .scenes import SceneOracle
 
 UPSCALE = 4  # two 2x bilinear stages
@@ -156,9 +156,8 @@ class ProposalNet:
         cache to it for backward. With a (4h, 4w) bool mask for live, the
         layers after the last upsample run only at the positions the live
         logits read, and the logits are 0 at the other pixels; the live
-        logits are the same bits as without the mask."""
-        if cache is not None and live is not None:
-            raise ValueError("a forward restricted to live pixels has no cache")
+        logits are the same bits as without the mask, and so is a backward
+        from a head gradient that is 0 outside them."""
         if probe_weights.shape[1] != self.z_bins:
             raise ValueError(f"expected {self.z_bins} bins, got {probe_weights.shape[1]}")
         if image.shape[-2:] != probe_weights.shape[-2:] or dirs.shape[-2:] != probe_weights.shape[-2:]:
@@ -175,7 +174,7 @@ class ProposalNet:
                 if mask is None:
                     y, c = conv2d_forward(y, w.value, b.value)
                 else:
-                    y = conv2d_at(y, w.value, b.value, mask)
+                    y, c = conv2d_at(y, w.value, b.value, mask)
             elif kind == "relu":
                 y, c = relu_forward(y)
             elif kind == "up":
@@ -315,7 +314,9 @@ def _window(start: int, stop: int, size: int):
 def forward_patch(net: ProposalNet, inputs, row: int, col: int, patch: int):
     """Logits (1, Z, patch, patch) of the wrapped patch at full-resolution
     origin (row, col), from probe windows only (see train_step), and the
-    windows' caches for backward_patch. inputs is probe_inputs(probe)."""
+    windows' caches for backward_patch. inputs is probe_inputs(probe). Each
+    window's forward runs its layers after the last upsample only where its
+    rectangle of the patch reads them (forward's live)."""
     ph, pw = inputs[0].shape[-2:]
     logits = np.empty((1, net.z_bins, patch, patch), dtype=net.dtype)
     windows = []
@@ -323,10 +324,12 @@ def forward_patch(net: ProposalNet, inputs, row: int, col: int, patch: int):
         wr0, wr1 = _window(r0, r0 + nr, ph)
         for c0, pc, nc in _runs(col, patch, pw * UPSCALE):
             wc0, wc1 = _window(c0, c0 + nc, pw)
+            r, c = r0 - UPSCALE * wr0, c0 - UPSCALE * wc0
+            rect = np.zeros((UPSCALE * (wr1 - wr0), UPSCALE * (wc1 - wc0)), dtype=bool)
+            rect[r:r + nr, c:c + nc] = True
             cache = []
             out = net.forward(*(a[:, :, wr0:wr1, wc0:wc1] for a in inputs),
-                              cache=cache)
-            r, c = r0 - UPSCALE * wr0, c0 - UPSCALE * wc0
+                              cache=cache, live=rect)
             src = (slice(None), slice(None), slice(r, r + nr), slice(c, c + nc))
             dst = (slice(None), slice(None), slice(pr, pr + nr), slice(pc, pc + nc))
             logits[dst] = out[src]
@@ -393,14 +396,15 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
     """Run cfg.steps supervised steps; returns the per-step loss history.
 
     The probe and the truth (the dense weight grid at full resolution, at
-    the probe's bin midpoints) are deterministic, so each is rendered once,
-    on `workers` threads, and every step slices its patch from the truth.
+    the probe's bin midpoints, unshaded: dense_weights) are deterministic,
+    so each is rendered once, on `workers` threads, and every step slices
+    its patch from the truth.
     """
     rng = np.random.default_rng(seed)
     opt = AdamState(lr=cfg.lr)
     probe = render_probe(scene, probe_camera(camera_full), cfg.z_bins,
                          workers=workers)
-    truth = render_probe(scene, camera_full, cfg.z_bins, workers=workers).weights
+    truth = dense_weights(scene, camera_full, cfg.z_bins, workers=workers)
     losses = []
     for step in range(cfg.steps):
         opt.lr = cfg.lr_at(step)

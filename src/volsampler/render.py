@@ -1,14 +1,19 @@
 """Quadrature volume rendering over procedural SDF scenes.
 
 Produces radiance images, per-ray weight tensors (the probe fed to the
-proposal network), accumulated-variance images, and expected depth. Every
-sample point gets its SDF and beta; only points with nonzero quadrature
-weight are shaded, since a zero weight adds 0 * rgb == 0 to the pixel either
-way. Pixels are embarrassingly parallel: the image is cut into chunks of
-about _CHUNK_POINTS sample points, which keeps each per-point temporary
-within a few hundred kilobytes, and the chunks are shared among the workers.
-Chunking never changes per-pixel arithmetic, so any chunk size and worker
-count reproduce the single-worker output bit for bit.
+proposal network), accumulated-variance images, and expected depth.
+Integration is two steps: field_weights gives every sample point its SDF,
+beta and quadrature weight, and weighted_radiance shades only the points
+with nonzero weight and sums w * rgb per ray, since a zero weight adds
+0 * rgb == 0 to the pixel either way. Callers that read weights only (the
+reference's coarse pass, dense_weights) skip the second step. Pixels are
+embarrassingly parallel: the image is cut into chunks of about
+_CHUNK_POINTS sample points, which keeps each per-point temporary within a
+few hundred kilobytes, and the chunks are shared among the workers. A
+chunk of the reference runs both of its passes before the next starts, so
+no per-sample array spans the image but the reference's two variate
+blocks. Chunking never changes per-pixel arithmetic, so any chunk size and
+worker count reproduce the single-worker output bit for bit.
 """
 from __future__ import annotations
 
@@ -81,15 +86,16 @@ def _quadrature_weights(sigma: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return trans * alpha
 
 
-def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
-                    t: np.ndarray, t_far: np.ndarray,
-                    deltas: np.ndarray | None = None) -> dict:
-    """Integrate N rays at sorted sample positions t (N, K).
+def field_weights(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
+                  t: np.ndarray, t_far: np.ndarray,
+                  deltas: np.ndarray | None = None):
+    """The weights step of integrate_batch: fields and quadrature weights of
+    N rays at sorted sample positions t (N, K).
 
-    Returns rgb (N,3), weights (N,K), beta (N,K).
-    The last interval is capped at the far plane unless explicit deltas are
-    supplied. The weights come first; only samples with w > 0 are shaded.
-    Positions and deltas are trusted (render_full checks outside ones).
+    Returns weights (N, K), beta (N, K) and shade, where shade(rows) is the
+    radiance at the flattened samples rows (see SceneOracle.fields); nothing
+    is shaded here. The last interval is capped at the far plane unless
+    explicit deltas are supplied.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] < 1:
@@ -111,16 +117,75 @@ def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
         deltas = np.maximum(interval_deltas(t, t_far), 0.0)
 
     sigma = laplace_density(s, beta)
-    weights = _quadrature_weights(sigma, deltas)
-    live = weights.reshape(-1) > 0.0
-    if live.all():  # e.g. a soft scene: skip the gather and scatter
-        rgb_samples = shade(slice(None))
-    else:
-        rows = np.flatnonzero(live)
-        rgb_samples = np.zeros((n * k, 3))
-        rgb_samples[rows] = shade(rows)
-    rgb = np.sum(weights[:, :, None] * rgb_samples.reshape(n, k, 3), axis=1)
-    return {"rgb": rgb, "weights": weights, "beta": beta}
+    return _quadrature_weights(sigma, deltas), beta, shade
+
+
+def weighted_radiance(weights: np.ndarray, shade) -> np.ndarray:
+    """The radiance step of integrate_batch: each ray's sum of w * rgb (N, 3)
+    over its samples with w > 0, the only ones shaded. np.bincount adds each
+    ray's terms in sample order, as np.sum(w[:, :, None] * rgb, axis=1) does;
+    the samples skipped would add +0.0, so the bits are the same."""
+    n, k = weights.shape
+    flat = weights.reshape(-1)
+    rows = np.flatnonzero(flat > 0.0)
+    # all live (e.g. a soft scene): shade without the gather
+    rgb = shade(slice(None) if rows.size == flat.size else rows)
+    w, ray = flat[rows], rows // k
+    return np.stack([np.bincount(ray, weights=w * rgb[:, c], minlength=n)
+                     for c in range(3)], axis=1)
+
+
+def integrate_batch(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
+                    t: np.ndarray, t_far: np.ndarray,
+                    deltas: np.ndarray | None = None) -> dict:
+    """Integrate N rays at sorted sample positions t (N, K): field_weights,
+    then weighted_radiance.
+
+    Returns rgb (N,3), weights (N,K), beta (N,K).
+    The last interval is capped at the far plane unless explicit deltas are
+    supplied. Only samples with w > 0 are shaded. Positions and deltas are
+    trusted (render_full and render_reference check them).
+    """
+    weights, beta, shade = field_weights(scene, origins, dirs, t, t_far, deltas)
+    return {"rgb": weighted_radiance(weights, shade), "weights": weights, "beta": beta}
+
+
+class _Frame:
+    """Flat per-pixel images that chunks of rays are integrated into."""
+
+    def __init__(self, n: int):
+        self.radiance = np.zeros((n, 3))
+        self.beta = np.zeros(n)
+        self.depth = np.zeros(n)
+        self.acc = np.zeros(n)
+
+    def integrate(self, rows, scene: SceneOracle, origins: np.ndarray,
+                  dirs: np.ndarray, t: np.ndarray, t_far: np.ndarray,
+                  deltas: np.ndarray | None) -> None:
+        """integrate_batch the rays of pixels rows and store their images."""
+        out = integrate_batch(scene, origins, dirs, t, t_far, deltas=deltas)
+        w = out["weights"]
+        self.radiance[rows] = out["rgb"]
+        self.beta[rows] = np.sum(w * out["beta"], axis=1)
+        self.depth[rows] = np.sum(w * t, axis=1)
+        self.acc[rows] = np.sum(w, axis=1)
+
+    def output(self, h: int, w: int) -> RenderOutput:
+        return RenderOutput(radiance=self.radiance.reshape(h, w, 3),
+                            beta_image=self.beta.reshape(h, w),
+                            expected_depth=self.depth.reshape(h, w),
+                            accumulated_opacity=self.acc.reshape(h, w))
+
+
+def _check_samples(t: np.ndarray, delta: np.ndarray | None) -> None:
+    """Sample positions (M, K) must be finite and sorted ascending per row,
+    and deltas, where given, nonnegative."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("non-finite sample positions")
+    if np.any(t[:, 1:] < t[:, :-1]):
+        raise ValueError("sample positions must be sorted ascending")
+    if delta is not None and np.any(delta < 0.0):
+        raise ValueError("deltas must be nonnegative")
 
 
 def _run_chunks(fn, n: int, workers: int, samples_per_ray: int) -> None:
@@ -174,6 +239,23 @@ def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
                        dirs=d.reshape(h, w, 3))
 
 
+def dense_weights(scene: SceneOracle, camera: Camera, z_bins: int = 192,
+                  workers: int = 1) -> np.ndarray:
+    """The weight grid (Z, H, W) of render_probe(scene, camera, z_bins), bit
+    for bit, without shading: for callers that read no image."""
+    o, d, t_near, t_far = camera_geometry(camera)
+    n = o.shape[0]
+    t = bin_midpoints(t_near, t_far, z_bins)
+    weights = np.empty((n, z_bins))
+
+    def work(lo, hi):
+        weights[lo:hi] = field_weights(scene, o[lo:hi], d[lo:hi], t[lo:hi],
+                                       t_far[lo:hi])[0]
+
+    _run_chunks(work, n, workers, z_bins)
+    return weights.reshape(camera.height, camera.width, z_bins).transpose(2, 0, 1)
+
+
 def render_full(scene: SceneOracle, camera: Camera, samples: PixelSamples,
                 workers: int = 1) -> RenderOutput:
     """Render with externally supplied per-pixel sample positions: finite,
@@ -181,38 +263,19 @@ def render_full(scene: SceneOracle, camera: Camera, samples: PixelSamples,
     if samples.height != camera.height or samples.width != camera.width:
         raise ValueError("sample grid does not match camera resolution")
     for _, t, delta in samples.groups:
-        if not np.all(np.isfinite(t)):
-            raise ValueError("non-finite sample positions")
-        if np.any(t[:, 1:] < t[:, :-1]):
-            raise ValueError("sample positions must be sorted ascending")
-        if delta is not None and np.any(delta < 0.0):
-            raise ValueError("deltas must be nonnegative")
+        _check_samples(t, delta)
     o, d, _, t_far = camera_geometry(camera)
-    n = o.shape[0]
-    radiance = np.zeros((n, 3))
-    beta_img = np.zeros(n)
-    depth = np.zeros(n)
-    acc = np.zeros(n)
+    frame = _Frame(o.shape[0])
 
     # a zero-width group takes no samples: its pixels stay 0 in every image
     for idx, t, delta in (g for g in samples.groups if g[1].shape[1]):
         def work(lo, hi, idx=idx, t=t, delta=delta):
             rows = idx[lo:hi]
-            out = integrate_batch(scene, o[rows], d[rows], t[lo:hi], t_far[rows],
-                                  deltas=None if delta is None else delta[lo:hi])
-            w = out["weights"]
-            radiance[rows] = out["rgb"]
-            beta_img[rows] = np.sum(w * out["beta"], axis=1)
-            depth[rows] = np.sum(w * t[lo:hi], axis=1)
-            acc[rows] = np.sum(w, axis=1)
+            frame.integrate(rows, scene, o[rows], d[rows], t[lo:hi], t_far[rows],
+                            None if delta is None else delta[lo:hi])
 
         _run_chunks(work, len(idx), workers, t.shape[1])
-
-    h, w_ = camera.height, camera.width
-    return RenderOutput(radiance=radiance.reshape(h, w_, 3),
-                        beta_image=beta_img.reshape(h, w_),
-                        expected_depth=depth.reshape(h, w_),
-                        accumulated_opacity=acc.reshape(h, w_))
+    return frame.output(camera.height, camera.width)
 
 
 def render_uniform(scene: SceneOracle, camera: Camera, spp: int,
@@ -238,41 +301,40 @@ def render_reference(scene: SceneOracle, camera: Camera, total: int = 384,
 
     A stratified coarse pass (total // 2 samples) is integrated with the
     left-endpoint rule, so coarse weight j belongs to the jittered interval
-    [t_j, t_{j+1}] (t_K = t_far) and [t_near, t_0] carries none. The fine
-    samples (the other half) are drawn by inverse CDF over exactly those
-    intervals. The sorted {t_near, coarse, fine, t_far} are then interval
-    edges: the fields are evaluated at interval midpoints and integrated with
-    the interval widths as deltas (midpoint rule), so every part of
-    [t_near, t_far] is covered.
+    [t_j, t_{j+1}] (t_K = t_far) and [t_near, t_0] carries none. It takes
+    weights only (field_weights): the fine samples (the other half) are
+    drawn by inverse CDF over exactly those intervals. The sorted {t_near,
+    coarse, fine, t_far} are then interval edges: the fields are evaluated at
+    interval midpoints and integrated with the interval widths as deltas
+    (midpoint rule), so every part of [t_near, t_far] is covered.
+
+    Each chunk of rays runs both passes before the next chunk starts, and
+    its midpoints and widths get render_full's checks. Only the variate
+    blocks of the two passes, (N, total // 2) each, span the image; they are
+    drawn whole, so every pixel's variates are fixed by the block layout,
+    whatever the chunking.
     """
     n_coarse = total // 2
     n_fine = total - n_coarse
     o, d, t_near, t_far = camera_geometry(camera)
     n = o.shape[0]
-    span = (t_far - t_near)[:, None]
-
     frac = stratified_u_block(n, n_coarse, seed, stream=103)
-    t_coarse = t_near[:, None] + frac * span
     u_fine = stratified_u_block(n, n_fine, seed, stream=104)
+    frame = _Frame(n)
 
-    edges = np.empty((n, total + 2))
-
-    def coarse_work(lo, hi):
-        out = integrate_batch(scene, o[lo:hi], d[lo:hi], t_coarse[lo:hi],
-                              t_far[lo:hi])
-        coarse_edges = np.concatenate(
-            [t_near[lo:hi, None], t_coarse[lo:hi], t_far[lo:hi, None]], axis=1)
-        probs = np.concatenate([np.zeros((hi - lo, 1)), out["weights"]], axis=1)
+    def work(lo, hi):
+        near, far = t_near[lo:hi, None], t_far[lo:hi, None]
+        t_coarse = near + frac[lo:hi] * (far - near)
+        weights = field_weights(scene, o[lo:hi], d[lo:hi], t_coarse, t_far[lo:hi])[0]
+        coarse_edges = np.concatenate([near, t_coarse, far], axis=1)
+        probs = np.concatenate([np.zeros((hi - lo, 1)), weights], axis=1)
         t_fine = inverse_cdf_sample_edges(probs, coarse_edges, u_fine[lo:hi])
-        edges[lo:hi] = np.sort(np.concatenate([coarse_edges, t_fine], axis=1),
-                               axis=1)
+        edges = np.sort(np.concatenate([coarse_edges, t_fine], axis=1), axis=1)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        width = np.diff(edges, axis=1)
+        _check_samples(mid, width)
+        frame.integrate(slice(lo, hi), scene, o[lo:hi], d[lo:hi], mid, t_far[lo:hi],
+                        width)
 
-    _run_chunks(coarse_work, n, workers, total)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    width = np.diff(edges, axis=1)
-    h, w = camera.height, camera.width
-    k = total + 1
-    return render_full(scene, camera,
-                       PixelSamples.dense(mid.reshape(h, w, k),
-                                          width.reshape(h, w, k)),
-                       workers=workers)
+    _run_chunks(work, n, workers, total)
+    return frame.output(camera.height, camera.width)

@@ -111,10 +111,11 @@ class TestConvAt:
         # every mask holds enough positions that its GEMMs stay above the
         # 1e6 multiply-adds of BLAS's small-matrix kernel (see nn._conv)
         x, wt, b = self.conv_inputs(rng, c_in, c_out, h, w)
-        dense, _ = nn.conv2d_forward(x, wt, b)
+        dense, dense_cache = nn.conv2d_forward(x, wt, b)
         blob = np.hypot(*np.mgrid[:h, :w] - np.array([h / 2, w / 3])[:, None, None]) < h / 3
         for needed in (rng.random((h, w)) < 0.3, blob, np.ones((h, w), bool)):
-            got = nn.conv2d_at(x, wt, b, needed)
+            got, cache = nn.conv2d_at(x, wt, b, needed)
+            assert np.array_equal(cache.padded, dense_cache.padded) and cache.input_grad
             assert got.shape == dense.shape and got.dtype == dense.dtype
             assert np.array_equal(got[:, :, needed], dense[:, :, needed])
             assert np.all(got[:, :, ~needed] == 0.0)
@@ -130,13 +131,26 @@ class TestConvAt:
         monkeypatch.setattr(nn, "BAND", 16)
         small, _ = nn.conv2d_forward(x, wt, b)
         assert np.array_equal(small, dense)
-        got = nn.conv2d_at(x, wt, b, needed)
+        got, _ = nn.conv2d_at(x, wt, b, needed)
+        assert np.array_equal(got[:, :, needed], dense[:, :, needed])
+        assert np.all(got[:, :, ~needed] == 0.0)
+
+    @pytest.mark.parametrize("count", [1, 4, 9])
+    def test_few_positions_are_dense_bits(self, rng, count):
+        # 192 x 64 x 9 multiply-adds per position: fewer than 10 positions
+        # would make a GEMM below 1e6 that sums in another order, so the
+        # band is padded to the width of a dense one
+        x, wt, b = self.conv_inputs(rng, 64, 192, 24, 20)
+        dense, _ = nn.conv2d_forward(x, wt, b)
+        needed = np.zeros((24, 20), bool)
+        needed.flat[rng.choice(needed.size, count, replace=False)] = True
+        got, _ = nn.conv2d_at(x, wt, b, needed)
         assert np.array_equal(got[:, :, needed], dense[:, :, needed])
         assert np.all(got[:, :, ~needed] == 0.0)
 
     def test_no_positions_give_zeros(self, rng):
         x, wt, b = self.conv_inputs(rng, 3, 2, 4, 5)
-        got = nn.conv2d_at(x, wt, b, np.zeros((4, 5), bool))
+        got, _ = nn.conv2d_at(x, wt, b, np.zeros((4, 5), bool))
         assert got.shape == (1, 2, 4, 5) and got.dtype == np.float32
         assert np.all(got == 0.0)
 

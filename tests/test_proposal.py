@@ -513,6 +513,42 @@ class TestPatchWindows:
         _, windows = forward_patch(net, inputs, 26, 30, self.PATCH)
         assert windows[0][1][-2:] == (4 * (2 * HALO + 4), 4 * (2 * HALO + 4))
 
+    @pytest.mark.parametrize("row,col,n_rect", [(26, 30, 1), (58, 60, 4)])
+    def test_masked_window_passes_are_dense_bits(self, monkeypatch, row, col, n_rect):
+        # forward_patch runs conv4-conv6 only where each window's rectangle
+        # of the patch reads them; its patch logits and the gradients
+        # backward_patch accumulates are the bits of dense window passes.
+        # 48 bins and 32 channels keep every GEMM of a window above BLAS's
+        # small-matrix kernel, as at the trained sizes (see nn._conv).
+        scene = make_scene("wall", beta=5e-3)
+        net = ProposalNet(z_bins=48, hidden=32, seed=3)
+        net.params[-2].value = he_init(np.random.default_rng(7), 48, 32, 3, np.float32)
+        inputs = probe_inputs(render_probe(scene, small_camera(self.RES // 4), z_bins=48))
+        d_patch = np.random.default_rng(5).standard_normal((1, 48, self.PATCH, self.PATCH))
+
+        def passes():
+            logits, windows = forward_patch(net, inputs, row, col, self.PATCH)
+            net.zero_grads()
+            proposal.backward_patch(net, windows, d_patch)
+            return logits, [prm.grad.copy() for prm in net.params], len(windows)
+
+        subset_convs = []
+        conv2d_at = proposal.conv2d_at
+        monkeypatch.setattr(proposal, "conv2d_at",
+                            lambda *a: subset_convs.append(1) or conv2d_at(*a))
+        logits, grads, windows = passes()
+        assert windows == n_rect and len(subset_convs) == 3 * n_rect
+
+        forward = ProposalNet.forward
+        monkeypatch.setattr(ProposalNet, "forward",
+                            lambda self, *a, live=None, **kw: forward(self, *a, **kw))
+        dense_logits, dense_grads, _ = passes()
+        assert len(subset_convs) == 3 * n_rect  # the dense passes ran none
+        assert np.array_equal(logits, dense_logits)
+        for prm, g, dense in zip(net.params, grads, dense_grads):
+            assert np.abs(dense).max() > 0.0, prm.name
+            assert np.array_equal(g, dense), prm.name
+
     def test_halo_covers_receptive_field(self):
         # the patch rows 26..37 have parent probe rows 6..9 (cols 7..10);
         # a probe pixel one beyond the halo cannot reach the patch logits,
