@@ -142,8 +142,16 @@ def _top_k_at(keys: np.ndarray, thr: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def top_k_mask(keys: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Boolean masks (N, Z) of the k[i] largest keys of each row, ties towards
-    lower index: the bins ranked below k[i] by a stable descending sort."""
+    lower index: the bins ranked below k[i] by a stable descending sort.
+    Rows with k[i] = 0 keep nothing and are not sorted."""
     n, z = keys.shape
+    k = np.asarray(k)
+    some = np.flatnonzero(k > 0)
+    if some.size < n:
+        mask = np.zeros((n, z), dtype=bool)
+        if some.size:
+            mask[some] = top_k_mask(keys[some], k[some])
+        return mask
     thr = np.sort(keys, axis=1)[np.arange(n), np.clip(z - k, 0, z - 1)]
     return _top_k_at(keys, thr, k)
 

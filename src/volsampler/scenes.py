@@ -18,6 +18,12 @@ from .geometry import normalize
 BETA_MIN = 1e-4
 BETA_MAX = 1e-1
 
+# laplace_density is exactly 0.0 at s >= DENSITY_ZERO_BETAS * beta: its
+# outside branch 0.5 - 0.5 * (-expm1(-s/beta)) cancels once -expm1(-x) rounds
+# to 1, which it does for x > 54 ln 2 ~ 37.43; 38 leaves a margin for the
+# roundoff of s / beta and of the reference's sphere tracing
+DENSITY_ZERO_BETAS = 38.0
+
 _LIGHT_DIR = normalize(np.array([0.45, 0.70, 0.55]))
 _AMBIENT = 0.25
 _DIFFUSE = 0.75
@@ -31,7 +37,9 @@ def laplace_density(s, beta):
         s >  0 (outside): 0.5*exp(-s/beta) / beta
 
     Monotone non-increasing in s, continuous, sigma(0) = 1/(2 beta) exactly,
-    range (0, 1/beta).
+    range [0, 1/beta). The outside branch is computed as 0.5 - 0.5 *
+    (-expm1(-s/beta)), which cancels to exactly 0.0 from s = 37.43 beta on,
+    so sigma is exactly 0 for s >= DENSITY_ZERO_BETAS * beta.
     """
     s = np.asarray(s, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -84,7 +92,13 @@ def _smooth_union(a, b, k):
 
 @dataclass
 class SceneOracle:
-    """A named analytic scene: pure, stateless, deterministic point queries."""
+    """A named analytic scene: pure, stateless, deterministic point queries.
+
+    The SDF must be 1-Lipschitz (a point at distance s has no surface within
+    s of it). beta_max is an upper bound of beta_field over all space; the
+    default, BETA_MAX, bounds every scene, since beta_field clips to it.
+    render_reference relies on both to prove rays empty by sphere tracing.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
@@ -93,6 +107,7 @@ class SceneOracle:
     _beta: Callable = None
     specular: float = 0.0
     spec_power: float = 16.0
+    beta_max: float = BETA_MAX
 
     def sdf(self, p: np.ndarray) -> np.ndarray:
         return self._sdf(np.asarray(p, dtype=np.float64))
@@ -123,19 +138,21 @@ class SceneOracle:
     def fields(self, p: np.ndarray, v: np.ndarray):
         """(s, beta, shade) at points p (M, 3) viewed along v (M, 3).
 
-        Every evaluated point passes through here once. Shading costs several
-        times the SDF, so it is deferred: shade(rows) is the radiance at
-        p[rows] along v[rows], and renderers call it on the points that carry
-        quadrature weight only.
+        Every sample point passes through here once. The reference's
+        sphere-tracing queries prove rays empty and sample nothing; they call
+        sdf. Shading costs several times the SDF, so it is deferred:
+        shade(rows) is the radiance at p[rows] along v[rows], and renderers
+        call it on the points that carry quadrature weight only.
         """
         p = np.asarray(p, dtype=np.float64)
         return self.sdf(p), self.beta_field(p), lambda rows: self.radiance(p[rows], v[rows])
 
 
 def _constant_beta(value):
+    """A constant variance field and its bound: a scene's _beta and beta_max."""
     def f(p):
         return np.full(p.shape[:-1], float(value))
-    return f
+    return dict(_beta=f, beta_max=value)
 
 
 def _constant_albedo(rgb):
@@ -157,7 +174,7 @@ def _build_sphere(params):
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
                 _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1],
                                   _constant_albedo((0.80, 0.56, 0.34))),
-                _beta=_constant_beta(params["beta"]))
+                **_constant_beta(params["beta"]))
 
 
 # laterally separated with a visible gap: silhouettes fall on background, and
@@ -179,7 +196,7 @@ def _build_two_spheres(params):
         return (np.where(nearest_a, na, nb),
                 np.where(nearest_a, np.array([0.85, 0.30, 0.25]),
                          np.array([0.25, 0.45, 0.85])))
-    return dict(_sdf=sdf, _surface=surface, _beta=_constant_beta(params["beta"]))
+    return dict(_sdf=sdf, _surface=surface, **_constant_beta(params["beta"]))
 
 
 def _build_torus(params):
@@ -199,7 +216,7 @@ def _build_torus(params):
         n = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
         return g / np.maximum(n, 1e-12)
     return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.35, 0.75, 0.40))),
-                _beta=_constant_beta(params["beta"]))
+                **_constant_beta(params["beta"]))
 
 
 def _build_blended_union(params):
@@ -222,7 +239,7 @@ def _build_blended_union(params):
         t = np.clip(0.5 + p[..., 0], 0.0, 1.0)[..., None]
         return (1.0 - t) * np.array([0.75, 0.60, 0.25]) + t * np.array([0.45, 0.35, 0.70])
     return dict(_sdf=sdf, _surface=_surface(normal, albedo),
-                _beta=_constant_beta(params["beta"]))
+                **_constant_beta(params["beta"]))
 
 
 def _build_textured_sphere(params):
@@ -247,7 +264,7 @@ def _build_textured_sphere(params):
         return base + band * np.exp(-(p[..., 1] / 0.18) ** 2)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
                 _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1], albedo),
-                _beta=beta_f, specular=0.35)
+                _beta=beta_f, beta_max=base + band, specular=0.35)
 
 
 def _build_wall(params):
@@ -259,7 +276,7 @@ def _build_wall(params):
     def normal(p):
         return np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape)
     return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.70, 0.70, 0.72))),
-                _beta=_constant_beta(params["beta"]))
+                **_constant_beta(params["beta"]))
 
 
 _BUILDERS = {
@@ -291,4 +308,5 @@ def make_scene(name: str, **overrides) -> SceneOracle:
             raise ValueError(f"unknown scene parameter {k!r}")
         params[k] = float(val)
     parts = _BUILDERS[name](params)
+    parts["beta_max"] = float(np.clip(parts["beta_max"], BETA_MIN, BETA_MAX))
     return SceneOracle(name=name, params=params, **parts)

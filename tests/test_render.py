@@ -9,11 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import ray_sphere_hit, small_camera, vacuum_scene
 from volsampler import render
+from volsampler.geometry import clip_to_box
 from volsampler.metrics import psnr
 from volsampler.render import (PixelSamples, _quadrature_weights, bin_midpoints,
-                               camera_geometry, dense_weights, integrate_batch,
-                               render_full, render_probe, render_reference,
-                               render_uniform, weighted_radiance)
+                               camera_geometry, certified_empty, dense_weights,
+                               integrate_batch, render_full, render_probe,
+                               render_reference, render_uniform, weighted_radiance)
 from volsampler.sampling import (inverse_cdf_sample_edges, inverse_cdf_sample_grid,
                                  normalize_pdf, stratified_u_block)
 from volsampler.scenes import SCENE_NAMES, SceneOracle, laplace_density, make_scene
@@ -242,15 +243,39 @@ class TestReferenceChunks:
     coarse pass takes weights only; the images are those of the two-pass
     reference above."""
 
-    @pytest.mark.parametrize("name,beta", [("two-spheres", 0.0015), ("textured-sphere", None)])
+    @pytest.mark.parametrize("name,beta,seed", [
+        pytest.param(name, beta, seed, id=f"{name}-{beta}" + ("" if seed == 5 else f"-seed{seed}"))
+        for name, beta in [("two-spheres", 0.0015), ("sphere", 0.0015), ("torus", 0.0015),
+                           ("blended-union", 0.0015), ("textured-sphere", None)]
+        for seed in (5, 11)])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_equals_two_pass_reference_bitwise(self, name, beta, workers):
+    def test_equals_two_pass_reference_bitwise(self, name, beta, seed, workers):
+        # the two-pass reference renders every ray; render_reference skips
+        # the rays certified empty (all but the textured sphere have some)
         sc = make_scene(name, beta=beta)
         cam = small_camera(24)
-        got = render_reference(sc, cam, seed=5, workers=workers)
-        want = two_pass_reference(sc, cam, 384, 5)
+        got = render_reference(sc, cam, seed=seed, workers=workers)
+        want = two_pass_reference(sc, cam, 384, seed)
         for field in dataclasses.fields(got):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    def test_certified_rays_take_no_field_evaluations(self):
+        rec = RecordingScene.of(make_scene("two-spheres", beta=0.0015))
+        cam = small_camera(24)
+        certified = certified_empty(rec, *camera_geometry(cam))
+        assert 0.2 < certified.mean() < 0.9
+        render_reference(rec, cam, seed=5)
+        # 192 coarse points and 385 midpoints per rendered ray
+        assert sum(len(p) for p in rec.seen["fields"]) == 577 * np.sum(~certified)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_all_certified_renders_zeros_without_fields(self, workers):
+        rec = RecordingScene.of(vacuum_scene())
+        out = render_reference(rec, small_camera(16), seed=5, workers=workers)
+        assert rec.seen["fields"] == []
+        for field in dataclasses.fields(out):
+            value = getattr(out, field.name)
+            assert not value.any() and not np.signbit(value).any(), field.name
 
     def test_coarse_pass_shades_nothing(self):
         rec = RecordingScene.of(make_scene("textured-sphere"))
@@ -296,6 +321,58 @@ class TestReferenceChunks:
         block = res * res * (total // 2) * 8
         bound = max(3 * block, 2 * block + 64 * render._CHUNK_POINTS * 8)
         assert peak < bound, (peak, bound)
+
+
+def random_box_rays(rng, n):
+    """n unit rays from 3 to 4 units out, aimed at points of [-1.3, 1.3]^3,
+    so that some clip a corner of the box or miss it; with their box
+    intervals."""
+    o = rng.standard_normal((n, 3))
+    o *= rng.uniform(3.0, 4.0, (n, 1)) / np.linalg.norm(o, axis=1, keepdims=True)
+    d = rng.uniform(-1.3, 1.3, (n, 3)) - o
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    t_near, t_far = clip_to_box(o, d)
+    return o, d, t_near, t_far
+
+
+def density_scan(scene, o, d, t_near, t_far, points=8192):
+    """Laplace density (N, points) on a dense even scan of each [t_near, t_far]."""
+    t = t_near[:, None] + np.linspace(0.0, 1.0, points) * (t_far - t_near)[:, None]
+    p = o[:, None, :] + t[:, :, None] * d[:, None, :]
+    return laplace_density(scene.sdf(p), scene.beta_field(p))
+
+
+class TestCertifiedEmpty:
+    """certified_empty is a proof: no certified ray has nonzero density."""
+
+    @pytest.mark.parametrize("name", SCENE_NAMES)
+    @pytest.mark.parametrize("beta", [0.0015, None])
+    def test_certified_rays_have_no_density(self, name, beta):
+        sc = make_scene(name, beta=beta)
+        o, d, t_near, t_far = random_box_rays(np.random.default_rng(20), 2048)
+        rays = np.flatnonzero(certified_empty(sc, o, d, t_near, t_far))
+        for lo in range(0, rays.size, 64):
+            r = rays[lo:lo + 64]
+            sigma = density_scan(sc, o[r], d[r], t_near[r], t_far[r])
+            assert not sigma.any(), r[np.any(sigma, axis=1)]
+
+    @pytest.mark.parametrize("betas", [30.0, 37.0])
+    def test_ray_near_the_tight_sphere_is_not_certified(self, betas):
+        # a ray passing `betas` beta above the unit sphere; the density is
+        # nonzero on it, since both distances are below DENSITY_ZERO_BETAS
+        sc = make_scene("sphere", beta=0.0015)
+        o = np.array([[0.0, 1.0 + betas * 0.0015, 2.8]])
+        d = np.array([[0.0, 0.0, -1.0]])
+        t_near, t_far = clip_to_box(o, d)
+        assert density_scan(sc, o, d, t_near, t_far).any()
+        assert not certified_empty(sc, o, d, t_near, t_far).any()
+
+    def test_rays_clear_of_the_tight_sphere_are_certified(self):
+        # 0.2 and 0.3 above the unit sphere, and one ray that misses the box
+        sc = make_scene("sphere", beta=0.0015)
+        o = np.array([[0.0, y, 2.8] for y in (1.2, 1.3, -1.5)])
+        d = np.tile([0.0, 0.0, -1.0], (3, 1))
+        assert certified_empty(sc, o, d, *clip_to_box(o, d)).all()
 
 
 class TestRenderProbe:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volsampler import sampling
 from volsampler.sampling import (SampleBudget, adaptive_score_grid,
                                  allocate_budgets, block_uniforms,
                                  budget_sample_grid, derive_seed,
@@ -257,6 +258,22 @@ class TestTopK:
         mask = top_k_mask(keys, k)
         assert np.array_equal(mask, _stable_rank_mask(keys, k))
         assert np.array_equal(mask.sum(axis=1), np.minimum(k, z))
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
+    def test_rows_with_k_zero_equal_the_sorted_masks(self, zeros):
+        # rows with k = 0 skip the sort; every row must be the mask that
+        # sorting all rows gives, as _budget_allocation's k = s % c needs
+        rng = np.random.default_rng(7)
+        n, z = 300, 192
+        keys = rng.integers(0, 6, (n, z)).astype(np.float64)
+        keys[rng.random((n, z)) < 0.4] = -np.inf
+        k = rng.integers(1, 12, n)
+        k[rng.random(n) < zeros] = 0
+        sorted_all = sampling._top_k_at(
+            keys, np.sort(keys, axis=1)[np.arange(n), np.clip(z - k, 0, z - 1)], k)
+        mask = top_k_mask(keys, k)
+        assert np.array_equal(mask, sorted_all)
+        assert not mask[k == 0].any()
 
 
 def _bin_counts(t, z):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsampler.scenes import (BETA_MAX, BETA_MIN, SCENE_NAMES, beta_activation,
-                               laplace_density, make_scene)
+from conftest import vacuum_scene
+from volsampler.scenes import (BETA_MAX, BETA_MIN, DENSITY_ZERO_BETAS, SCENE_NAMES,
+                               beta_activation, laplace_density, make_scene)
 
 ALL_SCENES = SCENE_NAMES + ("wall",)
 
@@ -103,6 +104,25 @@ class TestSceneQueries:
             make_scene("sphere", wobble=3)
 
 
+class TestBetaMax:
+    @pytest.mark.parametrize("name", ALL_SCENES)
+    @pytest.mark.parametrize("beta", [None, 0.0015, 1e-5, 0.5])
+    def test_bounds_the_beta_field(self, name, beta, rng):
+        sc = make_scene(name, beta=beta)
+        p = rng.uniform(-1.5, 1.5, size=(4096, 3))
+        p[:256, 1] = 0.0  # the textured sphere's band peaks at y = 0
+        assert BETA_MIN <= sc.beta_max <= BETA_MAX
+        assert np.all(sc.beta_field(p) <= sc.beta_max)
+
+    def test_textured_sphere_bound_is_base_plus_band(self):
+        assert make_scene("textured-sphere").beta_max == 0.025 + 0.04
+        assert make_scene("textured-sphere", beta=1e-5).beta_max == 1e-5 + 0.04
+        assert make_scene("sphere", beta=1e-5).beta_max == BETA_MIN
+
+    def test_default_is_the_clip(self):
+        assert vacuum_scene().beta_max == BETA_MAX
+
+
 class TestLaplaceDensity:
     def test_zero_crossing_exact(self):
         assert laplace_density(0.0, 0.01) == 50.0
@@ -142,6 +162,14 @@ class TestLaplaceDensity:
         assert 0.0 <= sigma <= 1.0 / beta
         if abs(s) < 30 * beta:
             assert sigma > 0.0
+
+    def test_exactly_zero_from_the_named_distance(self):
+        # the sphere-tracing skip of the reference rests on this exact zero
+        beta = np.geomspace(BETA_MIN, BETA_MAX, 61)
+        for scale in (1.0, 1.001, 2.0, 1e3, 1e6):
+            s = DENSITY_ZERO_BETAS * scale * beta
+            assert np.all(laplace_density(s, beta) == 0.0), scale
+        assert np.all(laplace_density(37.0 * beta, beta) > 0.0)
 
 
 class TestBetaActivation:
