@@ -153,10 +153,11 @@ class Pipeline:
         _require(training.patch >= 1, "train.patch must be >= 1")
 
         methods = tuple(cfg.get_list("bench.methods"))
+        _require(len(methods) >= 1, "bench.methods must name at least one method")
         for m in methods:
             _require(m in METHODS, f"unknown sampling method {m!r}; have {METHODS}")
         spp_list = tuple(cfg.get_int_list("bench.spp"))
-        _require(all(s >= 1 for s in spp_list), "bench.spp values must be >= 1")
+        _require(min(spp_list, default=0) >= 1, "bench.spp must list values >= 1")
         trials = cfg.get_int("bench.trials")
         _require(trials >= 1, "bench.trials must be >= 1")
         return cls(scene=scene, camera=camera, z_bins=z_bins,

@@ -13,7 +13,10 @@ few hundred kilobytes, and the chunks are shared among the workers. A
 chunk of the reference runs both of its passes before the next starts, so
 no per-sample array spans the image but the reference's two variate
 blocks. Chunking never changes per-pixel arithmetic, so any chunk size and
-worker count reproduce the single-worker output bit for bit.
+worker count reproduce the single-worker output bit for bit. Every
+renderer chunks only the rays certified_empty cannot prove empty: a proven
+ray has weight 0 at every sample, so its pixel keeps +0.0, as rendering it
+gives, and no sample of it reaches the fields.
 """
 from __future__ import annotations
 
@@ -189,15 +192,17 @@ def _check_samples(t: np.ndarray, delta: np.ndarray | None) -> None:
         raise ValueError("deltas must be nonnegative")
 
 
-def _run_chunks(fn, n: int, workers: int, samples_per_ray: int) -> None:
-    step = _chunk_rows(n, samples_per_ray)
-    bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _run_chunks(fn, live: np.ndarray, workers: int, samples_per_ray: int) -> None:
+    """Call fn(rows) on chunks of the rays to render: the rows live sets."""
+    rows = np.flatnonzero(live)
+    step = _chunk_rows(rows.size, samples_per_ray)
+    chunks = [rows[lo:lo + step] for lo in range(0, rows.size, step)]
     if workers <= 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
+        for chunk in chunks:
+            fn(chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fn(*b), bounds))
+            list(pool.map(fn, chunks))
 
 
 def camera_geometry(camera: Camera):
@@ -224,15 +229,15 @@ def render_probe(scene: SceneOracle, camera: Camera, z_bins: int = 192,
     n = o.shape[0]
     t = bin_midpoints(t_near, t_far, z_bins)
 
-    image = np.empty((n, 3))
-    weights = np.empty((n, z_bins))
+    image = np.zeros((n, 3))
+    weights = np.zeros((n, z_bins))
 
-    def work(lo, hi):
-        out = integrate_batch(scene, o[lo:hi], d[lo:hi], t[lo:hi], t_far[lo:hi])
-        image[lo:hi] = out["rgb"]
-        weights[lo:hi] = out["weights"]
+    def work(rows):
+        out = integrate_batch(scene, o[rows], d[rows], t[rows], t_far[rows])
+        image[rows] = out["rgb"]
+        weights[rows] = out["weights"]
 
-    _run_chunks(work, n, workers, z_bins)
+    _run_chunks(work, ~certified_empty(scene, o, d, t_near, t_far), workers, z_bins)
     h, w = camera.height, camera.width
     return ProbeOutput(image=image.reshape(h, w, 3),
                        weights=weights.reshape(h, w, z_bins).transpose(2, 0, 1),
@@ -247,35 +252,40 @@ def dense_weights(scene: SceneOracle, camera: Camera, z_bins: int = 192,
     o, d, t_near, t_far = camera_geometry(camera)
     n = o.shape[0]
     t = bin_midpoints(t_near, t_far, z_bins)
-    weights = np.empty((n, z_bins))
+    weights = np.zeros((n, z_bins))
 
-    def work(lo, hi):
-        weights[lo:hi] = field_weights(scene, o[lo:hi], d[lo:hi], t[lo:hi],
-                                       t_far[lo:hi])[0]
+    def work(rows):
+        weights[rows] = field_weights(scene, o[rows], d[rows], t[rows], t_far[rows])[0]
 
-    _run_chunks(work, n, workers, z_bins)
+    _run_chunks(work, ~certified_empty(scene, o, d, t_near, t_far), workers, z_bins)
     return weights.reshape(camera.height, camera.width, z_bins).transpose(2, 0, 1)
 
 
 def render_full(scene: SceneOracle, camera: Camera, samples: PixelSamples,
                 workers: int = 1) -> RenderOutput:
     """Render with externally supplied per-pixel sample positions: finite,
-    sorted ascending per pixel, with nonnegative deltas where given."""
+    sorted ascending per pixel, with nonnegative deltas where given. They
+    may leave [t_near, t_far], so a ray is skipped when certified_empty
+    proves empty [min(t_near, first sample), max(t_far, last sample)]."""
     if samples.height != camera.height or samples.width != camera.width:
         raise ValueError("sample grid does not match camera resolution")
     for _, t, delta in samples.groups:
         _check_samples(t, delta)
-    o, d, _, t_far = camera_geometry(camera)
+    o, d, t_near, t_far = camera_geometry(camera)
     frame = _Frame(o.shape[0])
-
     # a zero-width group takes no samples: its pixels stay 0 in every image
-    for idx, t, delta in (g for g in samples.groups if g[1].shape[1]):
-        def work(lo, hi, idx=idx, t=t, delta=delta):
-            rows = idx[lo:hi]
-            frame.integrate(rows, scene, o[rows], d[rows], t[lo:hi], t_far[rows],
-                            None if delta is None else delta[lo:hi])
+    groups = [g for g in samples.groups if g[1].shape[1]]
+    lo, hi = t_near.copy(), t_near.copy()  # a ray that takes no sample spans no depth
+    for idx, t, _ in groups:
+        lo[idx], hi[idx] = np.minimum(t_near[idx], t[:, 0]), np.maximum(t_far[idx], t[:, -1])
+    live = ~certified_empty(scene, o, d, lo, hi)
+    for idx, t, delta in groups:
+        def work(rows, idx=idx, t=t, delta=delta):
+            pix = idx[rows]
+            frame.integrate(pix, scene, o[pix], d[pix], t[rows], t_far[pix],
+                            None if delta is None else delta[rows])
 
-        _run_chunks(work, len(idx), workers, t.shape[1])
+        _run_chunks(work, live[idx], workers, t.shape[1])
     return frame.output(camera.height, camera.width)
 
 
@@ -305,7 +315,8 @@ def certified_empty(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
     Sphere tracing from t_near: where s = sdf > c, a 1-Lipschitz SDF stays
     at least c over the next s - c along a unit direction, so the trace
     steps that far. A ray is certified once its stepped span reaches t_far;
-    it is dropped at s <= c or after _TRACE_STEPS queries.
+    it is dropped after _TRACE_STEPS queries or at s <= 1.1c, since a ray
+    that meets a surface nears s = c from above without reaching it.
     """
     c = DENSITY_ZERO_BETAS * scene.beta_max
     certified = np.zeros(len(t_near), dtype=bool)
@@ -317,7 +328,8 @@ def certified_empty(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
         clear = s > c
         reached = clear & (t >= t_far[rays])
         certified[rays[reached]] = True
-        rays, t = rays[clear & ~reached], t[clear & ~reached]
+        go = (s > 1.1 * c) & ~reached
+        rays, t = rays[go], t[go]
         if not rays.size:
             break
     return certified
@@ -336,19 +348,13 @@ def render_reference(scene: SceneOracle, camera: Camera, total: int = 384,
     interval midpoints and integrated with the interval widths as deltas
     (midpoint rule), so every part of [t_near, t_far] is covered.
 
-    Rays that certified_empty proves empty are skipped: laplace_density is
-    exactly 0 at each of their points, so all their weights would be 0 and
-    their pixels stay 0 in every image, as rendering them gives. The proof
-    rests on two premises of SceneOracle, a 1-Lipschitz SDF and a beta_max
-    that bounds beta_field. Every other ray costs total // 2 + total + 1
-    field evaluations (577 at the default): its coarse points and the
-    midpoints between its total + 2 edges.
-
-    Each chunk of the remaining rays runs both passes before the next chunk
+    A ray not certified empty costs total // 2 + total + 1 field evaluations
+    (577 at the default): its coarse points and the midpoints between its
+    total + 2 edges. Each chunk of rays runs both passes before the next
     starts, and its midpoints and widths get render_full's checks. Only the
     variate blocks of the two passes, (N, total // 2) each, span the image;
-    they are drawn whole, so every pixel's variates are fixed by the block
-    layout, whatever the chunking and whichever rays are skipped.
+    they are drawn whole, so the block layout fixes every pixel's variates,
+    whatever the chunking and whichever rays are skipped.
     """
     n_coarse = total // 2
     n_fine = total - n_coarse
@@ -357,10 +363,8 @@ def render_reference(scene: SceneOracle, camera: Camera, total: int = 384,
     frac = stratified_u_block(n, n_coarse, seed, stream=103)
     u_fine = stratified_u_block(n, n_fine, seed, stream=104)
     frame = _Frame(n)
-    rendered = np.flatnonzero(~certified_empty(scene, o, d, t_near, t_far))
 
-    def work(lo, hi):
-        rows = rendered[lo:hi]
+    def work(rows):
         near, far = t_near[rows, None], t_far[rows, None]
         t_coarse = near + frac[rows] * (far - near)
         weights = field_weights(scene, o[rows], d[rows], t_coarse, t_far[rows])[0]
@@ -373,5 +377,5 @@ def render_reference(scene: SceneOracle, camera: Camera, total: int = 384,
         _check_samples(mid, width)
         frame.integrate(rows, scene, o[rows], d[rows], mid, t_far[rows], width)
 
-    _run_chunks(work, rendered.size, workers, total)
+    _run_chunks(work, ~certified_empty(scene, o, d, t_near, t_far), workers, total)
     return frame.output(camera.height, camera.width)

@@ -21,7 +21,7 @@ BETA_MAX = 1e-1
 # laplace_density is exactly 0.0 at s >= DENSITY_ZERO_BETAS * beta: its
 # outside branch 0.5 - 0.5 * (-expm1(-s/beta)) cancels once -expm1(-x) rounds
 # to 1, which it does for x > 54 ln 2 ~ 37.43; 38 leaves a margin for the
-# roundoff of s / beta and of the reference's sphere tracing
+# roundoff of s / beta and of the renderers' sphere tracing
 DENSITY_ZERO_BETAS = 38.0
 
 _LIGHT_DIR = normalize(np.array([0.45, 0.70, 0.55]))
@@ -97,7 +97,7 @@ class SceneOracle:
     The SDF must be 1-Lipschitz (a point at distance s has no surface within
     s of it). beta_max is an upper bound of beta_field over all space; the
     default, BETA_MAX, bounds every scene, since beta_field clips to it.
-    render_reference relies on both to prove rays empty by sphere tracing.
+    Every renderer relies on both to prove rays empty by sphere tracing.
     """
 
     name: str
@@ -138,7 +138,7 @@ class SceneOracle:
     def fields(self, p: np.ndarray, v: np.ndarray):
         """(s, beta, shade) at points p (M, 3) viewed along v (M, 3).
 
-        Every sample point passes through here once. The reference's
+        Every sample point passes through here once. The renderers'
         sphere-tracing queries prove rays empty and sample nothing; they call
         sdf. Shading costs several times the SDF, so it is deferred:
         shade(rows) is the radiance at p[rows] along v[rows], and renderers

@@ -253,6 +253,9 @@ BAD_INPUTS = [
     ("render", "scene.name = cube"),
     ("render", "camera.fov = 4"),
     ("bench", "render.reference_spp = 0"),
+    ("bench", "bench.spp = ,"),  # an empty list
+    ("bench", "bench.methods = ,"),
+    ("compare-samplers --spp ,", ""),
     ("train-proposal", "train.steps = 1\ntrain.patch = 100"),
     ("train-proposal", "train.steps = 1\ncamera.height = 18"),
     ("render", "camera.up = 0,0,1"),  # parallel to the view direction

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import ray_sphere_hit, small_camera, vacuum_scene
 from volsampler import render
-from volsampler.geometry import clip_to_box
+from volsampler.bench import Pipeline, method_samples, prepare_proposals
+from volsampler.config import Config
+from volsampler.geometry import Camera, clip_to_box
 from volsampler.metrics import psnr
 from volsampler.render import (PixelSamples, _quadrature_weights, bin_midpoints,
                                camera_geometry, certified_empty, dense_weights,
@@ -17,7 +20,8 @@ from volsampler.render import (PixelSamples, _quadrature_weights, bin_midpoints,
                                render_reference, render_uniform, weighted_radiance)
 from volsampler.sampling import (inverse_cdf_sample_edges, inverse_cdf_sample_grid,
                                  normalize_pdf, stratified_u_block)
-from volsampler.scenes import SCENE_NAMES, SceneOracle, laplace_density, make_scene
+from volsampler.scenes import (DENSITY_ZERO_BETAS, SCENE_NAMES, SceneOracle,
+                               laplace_density, make_scene)
 
 
 def reference_weights(sigma, delta):
@@ -216,10 +220,64 @@ class TestWeightedRadiance:
             assert not got.any()
 
 
+def no_certificate(scene, origins, dirs, t_near, t_far):
+    """A certified_empty that certifies no ray: every ray is rendered."""
+    return np.zeros(len(t_near), dtype=bool)
+
+
+def sampler_samples(scene, res):
+    """The robust and stratified PixelSamples (8 spp) that the probe-lift
+    proposal gives on a res x res default camera."""
+    pipe = Pipeline.from_config(Config.load(None, overrides={
+        "camera.height": str(res), "camera.width": str(res)}), seed=3)
+    pipe = dataclasses.replace(pipe, scene=scene)
+    prop = prepare_proposals(pipe)
+    return {m: method_samples(m, prop, 8, 7, pipe) for m in ("robust", "stratified")}
+
+
+Z_BINS, UNIFORM_SPP = 48, 32
+# every renderer, as fn(scene, camera, sampler_samples, workers)
+RENDERERS = {
+    "probe": lambda sc, cam, smp, w: render_probe(sc, cam, Z_BINS, workers=w),
+    "dense_weights": lambda sc, cam, smp, w: dense_weights(sc, cam, Z_BINS, workers=w),
+    "uniform-midpoint": lambda sc, cam, smp, w: render_uniform(
+        sc, cam, UNIFORM_SPP, mode="midpoint", workers=w),
+    "uniform-stratified": lambda sc, cam, smp, w: render_uniform(
+        sc, cam, UNIFORM_SPP, seed=3, workers=w),
+    "full-robust": lambda sc, cam, smp, w: render_full(sc, cam, smp["robust"], workers=w),
+    "full-stratified": lambda sc, cam, smp, w: render_full(
+        sc, cam, smp["stratified"], workers=w),
+    "reference": lambda sc, cam, smp, w: render_reference(sc, cam, seed=5, workers=w),
+}
+
+
+def rendered_arrays(out):
+    """What a renderer computes: a weight grid, a probe's image and weights,
+    or the four images of a RenderOutput."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    if hasattr(out, "weights"):
+        return [out.image, out.weights]
+    return [getattr(out, f.name) for f in dataclasses.fields(out)]
+
+
+def points_per_ray(name, smp, n):
+    """Field points (n,) that renderer `name` evaluates on each ray it renders."""
+    if name.startswith("full-"):
+        k = np.zeros(n, dtype=int)
+        for idx, t, _ in smp[name[len("full-"):]].groups:
+            k[idx] = t.shape[1]
+        return k
+    # the reference: 192 coarse points and 385 midpoints
+    return np.full(n, {"probe": Z_BINS, "dense_weights": Z_BINS, "reference": 577}.get(
+        name, UNIFORM_SPP))
+
+
 def two_pass_reference(scene, camera, total, seed):
     """Reference implementation of render_reference as first written: the
     coarse pass over the whole image with integrate_batch, then every
-    pixel's midpoints and widths through render_full."""
+    pixel's midpoints and widths through render_full, which here skips no
+    ray."""
     n_coarse = total // 2
     o, d, t_near, t_far = camera_geometry(camera)
     n = o.shape[0]
@@ -234,8 +292,9 @@ def two_pass_reference(scene, camera, total, seed):
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     width = np.diff(edges, axis=1)
     h, w = camera.height, camera.width
-    return render_full(scene, camera, PixelSamples.dense(
-        mid.reshape(h, w, total + 1), width.reshape(h, w, total + 1)))
+    with mock.patch.object(render, "certified_empty", no_certificate):
+        return render_full(scene, camera, PixelSamples.dense(
+            mid.reshape(h, w, total + 1), width.reshape(h, w, total + 1)))
 
 
 class TestReferenceChunks:
@@ -260,22 +319,29 @@ class TestReferenceChunks:
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
 
     def test_certified_rays_take_no_field_evaluations(self):
-        rec = RecordingScene.of(make_scene("two-spheres", beta=0.0015))
+        # the skip is the chunk runner's, so it holds for every renderer
+        sc = make_scene("two-spheres", beta=0.0015)
         cam = small_camera(24)
-        certified = certified_empty(rec, *camera_geometry(cam))
+        certified = certified_empty(sc, *camera_geometry(cam))
         assert 0.2 < certified.mean() < 0.9
-        render_reference(rec, cam, seed=5)
-        # 192 coarse points and 385 midpoints per rendered ray
-        assert sum(len(p) for p in rec.seen["fields"]) == 577 * np.sum(~certified)
+        smp = sampler_samples(sc, 24)
+        for name, fn in RENDERERS.items():
+            rec = RecordingScene.of(sc)
+            fn(rec, cam, smp, 1)
+            want = np.sum(points_per_ray(name, smp, certified.size)[~certified])
+            assert sum(len(p) for p in rec.seen["fields"]) == want, name
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_all_certified_renders_zeros_without_fields(self, workers):
-        rec = RecordingScene.of(vacuum_scene())
-        out = render_reference(rec, small_camera(16), seed=5, workers=workers)
-        assert rec.seen["fields"] == []
-        for field in dataclasses.fields(out):
-            value = getattr(out, field.name)
-            assert not value.any() and not np.signbit(value).any(), field.name
+        # the skip is the chunk runner's, so it holds for every renderer
+        cam = small_camera(16)
+        smp = sampler_samples(vacuum_scene(), 16)
+        for name, fn in RENDERERS.items():
+            rec = RecordingScene.of(vacuum_scene())
+            out = fn(rec, cam, smp, workers)
+            assert rec.seen["fields"] == [], name
+            for value in rendered_arrays(out):
+                assert not value.any() and not np.signbit(value).any(), name
 
     def test_coarse_pass_shades_nothing(self):
         rec = RecordingScene.of(make_scene("textured-sphere"))
@@ -342,8 +408,41 @@ def density_scan(scene, o, d, t_near, t_far, points=8192):
     return laplace_density(scene.sdf(p), scene.beta_field(p))
 
 
+def full_trace(scene, origins, dirs, t_near, t_far):
+    """certified_empty as first written, without the early stop: a ray is
+    dropped only at s <= c or after 24 queries."""
+    c = DENSITY_ZERO_BETAS * scene.beta_max
+    certified = np.zeros(len(t_near), dtype=bool)
+    rays = np.arange(len(t_near))
+    t = t_near
+    for _ in range(24):
+        s = scene.sdf(origins[rays] + t[:, None] * dirs[rays])
+        t = t + (s - c)
+        clear = s > c
+        reached = clear & (t >= t_far[rays])
+        certified[rays[reached]] = True
+        rays, t = rays[clear & ~reached], t[clear & ~reached]
+        if not rays.size:
+            break
+    return certified
+
+
 class TestCertifiedEmpty:
     """certified_empty is a proof: no certified ray has nonzero density."""
+
+    @pytest.mark.parametrize("name", SCENE_NAMES)
+    def test_early_stop_certifies_the_rays_of_the_full_trace(self, monkeypatch, name):
+        # dropping a ray at s <= 1.1c loses no certificate on the tight
+        # scenes, and stops the rays that meet a surface early
+        sc = make_scene(name, beta=0.0015)
+        rays = camera_geometry(small_camera(32))
+        want = full_trace(sc, *rays)
+        queries = []
+        sdf = sc.sdf
+        monkeypatch.setattr(sc, "sdf", lambda p: (queries.append(len(p)), sdf(p))[1])
+        got = certified_empty(sc, *rays)
+        assert np.array_equal(got, want)
+        assert sum(queries) / got.size < 8
 
     @pytest.mark.parametrize("name", SCENE_NAMES)
     @pytest.mark.parametrize("beta", [0.0015, None])
@@ -422,6 +521,43 @@ class TestRenderProbe:
         np.testing.assert_allclose(np.diff(t, axis=1) - width, 0.0, atol=1e-14)
         p = o[:, None, :] + t[:, :, None] * d[:, None, :]
         assert np.array_equal(np.concatenate(rec.seen["fields"]), p.reshape(-1, 3))
+
+
+class TestOneEmptyRayRule:
+    """Every renderer skips the rays certified_empty proves empty, and its
+    output is that of rendering every ray, bit for bit."""
+
+    @pytest.mark.parametrize("name", SCENE_NAMES)
+    @pytest.mark.parametrize("beta", [0.0015, None])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_equals_render_of_every_ray(self, monkeypatch, name, beta, workers):
+        sc, cam = make_scene(name, beta=beta), small_camera(16)
+        smp = sampler_samples(sc, 16)
+        got = {k: fn(sc, cam, smp, workers) for k, fn in RENDERERS.items()}
+        monkeypatch.setattr(render, "certified_empty", no_certificate)
+        for k, fn in RENDERERS.items():
+            for a, b in zip(rendered_arrays(got[k]), rendered_arrays(fn(sc, cam, smp, workers))):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), k
+
+    def test_samples_past_t_far_are_rendered(self, monkeypatch):
+        # a wide camera's outer rays meet the wall plane beyond their box
+        # interval, which is empty; their samples there carry weight, so
+        # render_full must certify the span the samples cover
+        sc = make_scene("wall", beta=1e-3)
+        cam = Camera(position=(0.0, 0.0, 2.8), look_at=(0.0, 0.0, 0.0),
+                     up=(0.0, 1.0, 0.0), fov_y=2.0, height=8, width=8)
+        o, d, t_near, t_far = camera_geometry(cam)
+        t_hit = o[:, 2] / -d[:, 2]
+        t = t_hit[:, None] + np.linspace(-0.05, 0.05, 16)
+        samples = PixelSamples(8, 8, [(np.arange(64), t, np.full_like(t, 0.1 / 15))])
+        beyond = t[:, 0] > t_far
+        assert np.sum(beyond & certified_empty(sc, o, d, t_near, t_far)) >= 4
+        got = render_full(sc, cam, samples)
+        assert np.all(got.accumulated_opacity.ravel()[beyond] > 0.5)
+        monkeypatch.setattr(render, "certified_empty", no_certificate)
+        want = render_full(sc, cam, samples)
+        for a, b in zip(rendered_arrays(got), rendered_arrays(want)):
+            assert np.array_equal(a, b)
 
 
 class TestRenderFull:
