@@ -26,8 +26,8 @@ from .config import Config, ConfigError
 from .geometry import Camera
 from .metrics import psnr, worst_percentile_psnr
 from .proposal import (UPSCALE, CheckpointError, ProposalNet, TrainConfig,
-                       blur_bins, live_pixels, load_checkpoint, parent_rows,
-                       probe_camera)
+                       blur_bins, live_pixels, load_checkpoint, max_pool3x3,
+                       parent_rows, probe_camera)
 from .render import (PixelSamples, ProbeOutput, RenderOutput, bin_midpoints,
                      camera_geometry, dense_weights, render_full, render_probe,
                      render_reference, render_uniform)
@@ -94,7 +94,6 @@ class Pipeline:
     z_bins: int
     reference_spp: int
     tau: float
-    score_bins: int
     budget: SampleBudget
     merge_probe: bool
     proposal_source: str
@@ -112,6 +111,7 @@ class Pipeline:
     def from_config(cls, cfg: Config, seed: int = 0, workers: int = 1,
                     deterministic: bool = False) -> "Pipeline":
         """Every invalid value raises ConfigError."""
+        _require(seed >= 0, "seed must be >= 0")
         scene = _build("scene", make_scene, name=cfg.get("scene.name"),
                        beta=cfg.get_opt_float("scene.beta"))
         camera = _build("camera", Camera, position=cfg.get_vec3("camera.position"),
@@ -136,9 +136,7 @@ class Pipeline:
         _require(reference_spp >= 2, "render.reference_spp must be >= 2")
         tau = cfg.get_float("sampler.tau")
         _require(0.0 < tau <= 1.0, "sampler.tau must be in (0, 1]")
-        score_bins = cfg.get_int("sampler.score_bins")
-        _require(1 <= score_bins < z_bins,
-                 "sampler.score_bins must be >= 1 and below render.z_bins")
+        _require(budget.base_spp < z_bins, "sampler.base_spp must be below render.z_bins")
         source = cfg.get("proposal.source")
         _require(source in ("probe-lift", "checkpoint", "oracle-full"),
                  "proposal.source must be probe-lift, checkpoint or oracle-full")
@@ -161,8 +159,7 @@ class Pipeline:
         trials = cfg.get_int("bench.trials")
         _require(trials >= 1, "bench.trials must be >= 1")
         return cls(scene=scene, camera=camera, z_bins=z_bins,
-                   reference_spp=reference_spp, tau=tau, score_bins=score_bins,
-                   budget=budget,
+                   reference_spp=reference_spp, tau=tau, budget=budget,
                    merge_probe=cfg.get_bool("sampler.merge_probe_samples"),
                    proposal_source=source, checkpoint=cfg.get("proposal.checkpoint"),
                    hidden_channels=hidden, training=training, methods=methods,
@@ -363,12 +360,7 @@ def _probe_lift_mask(weights: np.ndarray) -> np.ndarray:
     """
     pz, ph, pw = weights.shape
     grid = normalize_pdf(weights.reshape(pz, -1).T).reshape(ph, pw, pz)
-    padded = np.pad(grid, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    pooled = grid.copy()
-    for dy in range(3):
-        for dx in range(3):
-            np.maximum(pooled, padded[dy:dy + ph, dx:dx + pw], out=pooled)
-    pdf, pooled = grid.reshape(-1, pz), pooled.reshape(-1, pz)
+    pdf, pooled = grid.reshape(-1, pz), max_pool3x3(grid).reshape(-1, pz)
     mine = top_k_mask(pdf, np.full(len(pdf), LIFT_OWN_BINS)) & (pdf >= LIFT_FLOOR)
     keys = np.where(mine, np.inf, np.where(pooled >= LIFT_FLOOR, pooled, -np.inf))
     return top_k_mask(keys, np.full(len(pdf), LIFT_BINS)) & (keys > -np.inf)
@@ -389,10 +381,12 @@ def coverage_mask(prop: ProposalField, height: int, width: int) -> np.ndarray:
 
 def adaptive_pipeline_render(pipe: Pipeline, prop: ProposalField
                              ) -> tuple[RenderOutput, np.ndarray]:
-    """Full low-sample render: leftover-mass scores pick boosted pixels, robust
-    stratified sampling draws each pixel's budget. Returns (render, spp map)."""
+    """Full low-sample render: a pixel's score is the proposal mass outside
+    its base_spp strongest bins, the covered pixels with the highest scores
+    get the boosted budget, and robust stratified sampling draws each
+    pixel's budget. Returns (render, spp map)."""
     h, w = pipe.camera.height, pipe.camera.width
-    scores = adaptive_score_grid(prop.rows, pipe.score_bins)[prop.index]
+    scores = adaptive_score_grid(prop.rows, pipe.budget.base_spp)[prop.index]
     scores = (scores * coverage_mask(prop, h, w)).reshape(h, w)
     spp_map = allocate_budgets(scores, pipe.budget)
     samples = robust_samples(prop, spp_map.ravel(), pipe.seed, pipe)

@@ -151,7 +151,7 @@ def cmd_compare(args) -> int:
 
 def cmd_info(args) -> int:
     cfg = Config.load(args.config)
-    Pipeline.from_config(cfg)  # an invalid config exits 2, as in every subcommand
+    Pipeline.from_config(cfg, seed=args.seed)  # invalid input exits 2, as everywhere
     print(f"volsampler {__version__}")
     print(f"scenes: {', '.join(SCENE_NAMES)} (+ 'wall' for diagnostics)")
     print(f"methods: {', '.join(METHODS)} (+ 'adaptive' pipeline in render)")

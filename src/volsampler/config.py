@@ -29,7 +29,6 @@ DEFAULTS: dict[str, str] = {
     "render.reference_spp": "384",
     # sampler
     "sampler.tau": "0.98",
-    "sampler.score_bins": "16",
     "sampler.base_spp": "16",
     "sampler.boosted_spp": "32",
     "sampler.boosted_fraction": "0.10",
@@ -77,7 +76,7 @@ class Config:
             try:
                 with open(path, "r", encoding="utf-8") as f:
                     text = f.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise ConfigError(f"cannot read config {path}: {e}") from e
             parsed = parse_config_text(text)
             for key in parsed:

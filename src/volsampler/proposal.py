@@ -97,13 +97,15 @@ def _layers(z: int, c: int) -> list[tuple]:
             ("conv", "conv5", z, c), ("relu",), ("conv", "conv6", c, z)]
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    """A (H, W) bool mask grown by one pixel on every side (3x3 max)."""
-    grown = np.pad(mask, 1)
-    out = np.zeros_like(mask)
+def max_pool3x3(grid: np.ndarray) -> np.ndarray:
+    """The max of each cell's 3x3 neighborhood inside a (H, W, ...) grid
+    (edge-padded); it grows a bool mask by one pixel on every side."""
+    h, w = grid.shape[:2]
+    padded = np.pad(grid, ((1, 1), (1, 1)) + ((0, 0),) * (grid.ndim - 2), mode="edge")
+    out = grid.copy()
     for dy in range(3):
         for dx in range(3):
-            out |= grown[dy:dy + mask.shape[0], dx:dx + mask.shape[1]]
+            np.maximum(out, padded[dy:dy + h, dx:dx + w], out=out)
     return out
 
 
@@ -119,7 +121,7 @@ def _needed(layers: list[tuple], live: np.ndarray) -> list:
             break
         needed[i] = mask
         if layers[i][0] == "conv":
-            mask = _dilate(mask)
+            mask = max_pool3x3(mask)
     return needed
 
 
@@ -444,7 +446,7 @@ def _read(f, n: int) -> bytes:
 def load_checkpoint(net: ProposalNet, path) -> None:
     """Load parameters into a net of matching architecture. Every malformed
     file (short read, bad magic, version, tensor count or shape, trailing
-    bytes) raises CheckpointError."""
+    bytes, a NaN or infinite value) raises CheckpointError."""
     with open(path, "rb") as f:
         magic = _read(f, 4)
         if magic != CHECKPOINT_MAGIC:
@@ -465,6 +467,8 @@ def load_checkpoint(net: ProposalNet, path) -> None:
                                       f"checkpoint {shape}, net {p.value.shape}")
             n = int(np.prod(shape)) if ndim else 1
             data = np.frombuffer(_read(f, 4 * n), dtype="<f4").reshape(shape)
+            if not np.all(np.isfinite(data)):
+                raise CheckpointError(f"non-finite values in {p.name}")
             p.value = data.astype(net.dtype)
         if f.read(1):
             raise CheckpointError("trailing bytes in checkpoint")

@@ -106,11 +106,9 @@ def inverse_cdf_sample_edges(probs: np.ndarray, edges: np.ndarray,
     without index, M = N), and each row of probs is normalized and summed
     into its CDF once. All-zero rows fall back to uniform over
     [edges[:, 0], edges[:, -1]]."""
-    p = np.asarray(probs, dtype=np.float64)
-    m, z = p.shape
-    total = p.sum(axis=1)
-    ok = total > 0.0
-    pn = p / np.where(ok, total, 1.0)[:, None]
+    pn = normalize_pdf(probs)
+    m, z = pn.shape
+    ok = pn.any(axis=1)
     cdf = np.concatenate([np.zeros((m, 1)), np.cumsum(pn, axis=1)], axis=1)
     cdf[:, -1] = 1.0  # close the CDF against rounding
     row = np.arange(m) if index is None else index
@@ -264,13 +262,10 @@ def adaptive_score_grid(probs: np.ndarray, k: int = 16) -> np.ndarray:
 
 def allocate_budgets(scores: np.ndarray, budget: SampleBudget) -> np.ndarray:
     """Per-pixel spp map: the boosted_fraction of pixels with the highest
-    scores (ties resolved row-major) get boosted_spp, the rest base_spp."""
+    scores (top_k_mask, ties resolved row-major) get boosted_spp, the rest
+    base_spp."""
     scores = np.asarray(scores, dtype=np.float64)
-    flat = scores.ravel()
-    n = flat.size
-    n_boost = int(np.floor(budget.boosted_fraction * n + 0.5))
-    spp = np.full(n, budget.base_spp, dtype=np.int64)
-    if n_boost > 0:
-        order = np.argsort(-flat, kind="stable")
-        spp[order[:n_boost]] = budget.boosted_spp
+    n_boost = int(np.floor(budget.boosted_fraction * scores.size + 0.5))
+    boost = top_k_mask(scores.reshape(1, -1), np.array([n_boost]))
+    spp = np.where(boost, budget.boosted_spp, budget.base_spp).astype(np.int64)
     return spp.reshape(scores.shape)

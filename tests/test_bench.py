@@ -438,7 +438,7 @@ class TestSharedRows:
         shared = prepare_proposals(pipe)
         expanded = _per_pixel(shared)
         assert len(shared.rows) == 16 < len(expanded.rows) == 256
-        scores = adaptive_score_grid(shared.pdf, pipe.score_bins)
+        scores = adaptive_score_grid(shared.pdf, pipe.budget.base_spp)
         adaptive = np.where(scores > np.median(scores), 8, 3).astype(np.int64)
         for spp_map in (np.full(256, 4, dtype=np.int64), adaptive):
             _groups_equal(robust_samples(shared, spp_map, 4, pipe),

@@ -239,14 +239,17 @@ REMOVED_KEYS = [
     "train.blur_sigma = 1.0",
     "train.blur_radius = 3",
     "train.suppress_eps = 5e-3",
+    "sampler.score_bins = 16",  # the boost score drops sampler.base_spp bins
 ]
+
+SUBCOMMANDS = ("render", "bench", "train-proposal", "compare-samplers", "info")
 
 # (subcommand with its flags, config lines added to TINY); each is refused
 # before anything larger than TINY's 16x16 camera is rendered
 BAD_INPUTS = [
     ("render", "camera.height = 0"),
     ("render", "sampler.tau = 0"),
-    ("render", "sampler.score_bins = 48"),  # = render.z_bins
+    ("render", "sampler.boosted_spp = 48\nsampler.base_spp = 48"),  # = render.z_bins
     ("render", "sampler.base_spp = 0"),
     ("render", "render.probe_factor = 0"),
     ("render", "render.probe_mode = foo"),  # removed: the probe samples bin midpoints only
@@ -267,7 +270,8 @@ BAD_INPUTS = [
     ("train-proposal --steps 0", ""),
     ("info", "sampler.tau = 0"),
     ("info", "camera.height = 18"),
-] + [("render", line) for line in REMOVED_KEYS]
+] + [(f"{command} --seed -1", "") for command in SUBCOMMANDS
+     ] + [("render", line) for line in REMOVED_KEYS]
 
 
 @pytest.mark.parametrize("command,extra", BAD_INPUTS,
@@ -374,7 +378,7 @@ def test_damaged_checkpoint_exits_3(data):
         ckpt.write_bytes(raw)
         cfg = Path(d) / "c.cfg"
         cfg.write_text("scene.name = wall\ncamera.height = 16\ncamera.width = 16\n"
-                       "render.z_bins = 16\nsampler.score_bins = 8\n"
+                       "render.z_bins = 16\nsampler.base_spp = 8\n"
                        "proposal.hidden_channels = 4\nproposal.source = checkpoint\n"
                        f"proposal.checkpoint = {ckpt}\n")
         err = io.StringIO()
@@ -382,3 +386,57 @@ def test_damaged_checkpoint_exits_3(data):
             code = main(["render", "--config", str(cfg), "--out-dir", str(Path(d) / "o")])
     assert code == 3, err.getvalue()
     assert "checkpoint error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_non_utf8_config_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xff\xfe" + TINY.encode("utf-16-le"))
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=64))
+def test_any_config_bytes_exit_0_or_2(raw):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.cfg"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["info", "--config", str(path), "--out-dir", str(Path(d) / "o")])
+    assert code in (0, 2), err.getvalue()
+    assert code == 0 or "config error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["render", "bench"])
+@pytest.mark.parametrize("tensor,value", [("conv1.w", np.nan), ("conv6.b", np.inf)])
+def test_non_finite_checkpoint_exits_3(tmp_path, capsys, command, tensor, value):
+    net = ProposalNet(z_bins=48, hidden=4)
+    next(p for p in net.params if p.name == tensor).value.flat[0] = value
+    ckpt = tmp_path / "net.vsmp"
+    save_checkpoint(net, ckpt)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY + "proposal.source = checkpoint\nproposal.hidden_channels = 4\n"
+                   f"proposal.checkpoint = {ckpt}\n")
+    assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "checkpoint error:" in err and tensor in err
+
+
+def _readme_config_keys() -> set[str]:
+    """The keys README's configuration table names, a row such as
+    `train.steps/lr/patch` expanded to its three keys."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            names = [n.strip(" `") for n in line.split("|")[1].split("/")]
+            section = names[0].split(".")[0]
+            keys.update(n if "." in n else f"{section}.{n}" for n in names)
+    return keys
+
+
+def test_readme_config_table_names_every_key():
+    assert _readme_config_keys() == set(DEFAULTS)
