@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .geometry import BOX_MAX, BOX_MIN, Camera, default_camera
 from .metrics import psnr, worst_percentile_psnr
-from .regularizers import RegularizerConfig, decision_loss, surface_loss, total_loss
+from .regularizers import RegularizerConfig, decision_loss, surface_loss
 from .render import (PixelSamples, ProbeOutput, RenderOutput, render_full,
                      render_probe, render_reference, render_uniform)
 from .sampling import SampleBudget, allocate_budgets
@@ -19,7 +19,7 @@ from .scenes import (SCENE_NAMES, SceneOracle, beta_activation, laplace_density,
 __all__ = [
     "BOX_MAX", "BOX_MIN", "Camera", "default_camera",
     "psnr", "worst_percentile_psnr",
-    "RegularizerConfig", "decision_loss", "surface_loss", "total_loss",
+    "RegularizerConfig", "decision_loss", "surface_loss",
     "PixelSamples", "ProbeOutput", "RenderOutput",
     "render_full", "render_probe", "render_reference", "render_uniform",
     "SampleBudget", "allocate_budgets",

@@ -111,7 +111,8 @@ class Pipeline:
     def from_config(cls, cfg: Config, seed: int = 0, workers: int = 1,
                     deterministic: bool = False) -> "Pipeline":
         """Every invalid value raises ConfigError."""
-        _require(seed >= 0, "seed must be >= 0")
+        _require(0 <= seed < 2**64, "seed must be in [0, 2**64)")
+        _require(workers >= 1, "workers must be >= 1")
         scene = _build("scene", make_scene, name=cfg.get("scene.name"),
                        beta=cfg.get_opt_float("scene.beta"))
         camera = _build("camera", Camera, position=cfg.get_vec3("camera.position"),

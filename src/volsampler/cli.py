@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: render, bench, train-proposal, compare-samplers, info.
-Global flags: --config, --seed, --workers, --out-dir, --deterministic.
-Exit codes: 0 success, 2 config error, 3 missing or malformed checkpoint,
-4 I/O error.
+Global flags: --config, --seed (in [0, 2**64)), --workers (>= 1), --out-dir,
+--deterministic. `render --spp` sets the budget of a flat method (default
+16); `--method adaptive` takes its budget from the sampler.* keys and
+refuses --spp.
+Exit codes: 0 success, 2 config error, 3 missing or malformed checkpoint
+(also when training leaves a NaN or infinite parameter, so no checkpoint
+is written), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -27,6 +31,8 @@ EXIT_CONFIG = 2
 EXIT_CHECKPOINT = 3
 EXIT_IO = 4
 
+FLAT_SPP = 16  # render --spp when it is not given
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="volsampler",
@@ -45,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("render", parents=[common], help="render one image")
     pr.add_argument("--method", choices=METHODS + ("adaptive",), default="adaptive")
-    pr.add_argument("--spp", type=int, default=16)
+    pr.add_argument("--spp", type=int, default=None,
+                    help=f"samples per pixel of a flat-budget method (default {FLAT_SPP}); "
+                         "--method adaptive takes its budget from the sampler.* keys")
 
     sub.add_parser("bench", parents=[common],
                    help="benchmark sampling methods against the reference")
@@ -74,14 +82,19 @@ def _out_dir(args) -> Path:
 
 def _pipeline(args, overrides: dict[str, str] | None = None) -> Pipeline:
     return Pipeline.from_config(Config.load(args.config, overrides),
-                                seed=args.seed, workers=max(1, args.workers),
+                                seed=args.seed, workers=args.workers,
                                 deterministic=args.deterministic)
 
 
 def cmd_render(args) -> int:
     from .imageio import write_pfm, write_ppm
 
-    if args.spp < 1:
+    if args.method == "adaptive" and args.spp is not None:
+        raise ConfigError("render --spp sets flat-budget methods only; --method adaptive "
+                          "takes sampler.base_spp, sampler.boosted_spp and "
+                          "sampler.boosted_fraction")
+    spp = FLAT_SPP if args.spp is None else args.spp
+    if spp < 1:
         raise ConfigError("render --spp must be >= 1")
     pipe = _pipeline(args)
     scene = pipe.scene
@@ -92,8 +105,8 @@ def cmd_render(args) -> int:
         result, spp_map = adaptive_pipeline_render(pipe, prop)
         spp_note = f"mean {spp_map.mean():.1f}"
     else:
-        result = render_method(pipe, prop, args.method, args.spp, args.seed)
-        spp_note = f"{args.spp}"
+        result = render_method(pipe, prop, args.method, spp, args.seed)
+        spp_note = f"{spp}"
 
     stem = f"{scene.name}_{args.method}"
     write_pfm(out / f"{stem}.pfm", result.radiance)
@@ -151,7 +164,8 @@ def cmd_compare(args) -> int:
 
 def cmd_info(args) -> int:
     cfg = Config.load(args.config)
-    Pipeline.from_config(cfg, seed=args.seed)  # invalid input exits 2, as everywhere
+    # invalid input exits 2, as everywhere
+    Pipeline.from_config(cfg, seed=args.seed, workers=args.workers)
     print(f"volsampler {__version__}")
     print(f"scenes: {', '.join(SCENE_NAMES)} (+ 'wall' for diagnostics)")
     print(f"methods: {', '.join(METHODS)} (+ 'adaptive' pipeline in render)")

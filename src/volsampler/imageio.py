@@ -42,13 +42,13 @@ def read_pfm(path) -> np.ndarray:
     return data.reshape(shape)[::-1].astype(np.float32)
 
 
-def write_ppm(path, image: np.ndarray, gamma: float = GAMMA) -> None:
+def write_ppm(path, image: np.ndarray) -> None:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = np.repeat(img[:, :, None], 3, axis=2)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("PPM expects (H, W), or (H, W, 3) images")
-    encoded = np.clip(img, 0.0, 1.0) ** (1.0 / gamma)
+    encoded = np.clip(img, 0.0, 1.0) ** (1.0 / GAMMA)
     data = (encoded * 255.0 + 0.5).astype(np.uint8)
     h, w = img.shape[:2]
     with open(path, "wb") as f:

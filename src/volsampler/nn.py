@@ -255,14 +255,16 @@ def softmax_ce(logits: np.ndarray, target: np.ndarray, valid: np.ndarray):
     return loss, probs, d_logits
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers per parameter, plus step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -271,12 +273,11 @@ class AdamState:
 def adam_step(params: list[Param], state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     for p in params:
         m = state.m.setdefault(p.name, np.zeros_like(p.value))
         v = state.v.setdefault(p.name, np.zeros_like(p.value))
-        m += (1.0 - b1) * (p.grad - m)
-        v += (1.0 - b2) * (p.grad * p.grad - v)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.value -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.value.dtype)
+        m += (1.0 - ADAM_BETA1) * (p.grad - m)
+        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad - v)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.value -= (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.value.dtype)

@@ -420,15 +420,20 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
 
 def save_checkpoint(net: ProposalNet, path) -> None:
     """Versioned binary checkpoint: magic, version, tensor count, then per
-    tensor a shape header and row-major little-endian float32 data."""
+    tensor a shape header and row-major little-endian float32 data. A NaN or
+    infinite value, which load_checkpoint would refuse, raises
+    CheckpointError before the file is opened."""
+    data = [np.ascontiguousarray(p.value, dtype="<f4") for p in net.params]
+    for p, values in zip(net.params, data):
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"non-finite values in {p.name}")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(net.params)))
-        for p in net.params:
-            shape = p.value.shape
-            f.write(struct.pack("<I", len(shape)))
-            f.write(struct.pack(f"<{len(shape)}I", *shape))
-            f.write(np.ascontiguousarray(p.value, dtype="<f4").tobytes())
+        for values in data:
+            f.write(struct.pack("<I", values.ndim))
+            f.write(struct.pack(f"<{values.ndim}I", *values.shape))
+            f.write(values.tobytes())
 
 
 class CheckpointError(ValueError):

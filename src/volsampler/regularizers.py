@@ -1,9 +1,8 @@
 """Geometry regularizers evaluated on rendered outputs.
 
 Pure reductions: the surface-tightness penalty on the rendered variance image
-B, the SDF decision-boundary penalty on SDF samples, and their weighted
-aggregate. The B target anneals linearly from a soft start value towards a
-small positive floor.
+B and the SDF decision-boundary penalty on SDF samples. The B target anneals
+linearly from a soft start value towards a small positive floor.
 """
 from __future__ import annotations
 
@@ -17,16 +16,10 @@ class RegularizerConfig:
     b_target_start: float = 0.01
     b_target_end: float = 0.001
     b_target_steps: int = 200
-    lambda_sampler: float = 1.0
-    lambda_surface: float = 1.0
-    lambda_dec: float = 1.0
 
     def __post_init__(self):
         if self.b_target_end <= 0.0:
             raise ValueError("annealing floor must stay positive")
-        for lam in (self.lambda_sampler, self.lambda_surface, self.lambda_dec):
-            if not np.isfinite(lam) or lam < 0.0:
-                raise ValueError("loss weights must be finite and nonnegative")
 
     def b_target_at(self, step: int) -> float:
         """Linear anneal: start + (end - start) * min(1, step / steps)."""
@@ -50,10 +43,3 @@ def decision_loss(sdf: np.ndarray) -> float:
         raise ValueError("SDF tensor must be finite")
     return float(np.sum(np.exp(-2.0 * np.abs(s))))
 
-
-def total_loss(l_sampler: float, l_surface: float, l_dec: float,
-               cfg: RegularizerConfig) -> float:
-    """Weighted sum of the in-scope loss terms."""
-    return (cfg.lambda_sampler * l_sampler
-            + cfg.lambda_surface * l_surface
-            + cfg.lambda_dec * l_dec)

@@ -72,13 +72,6 @@ class PixelSamples:
     width: int
     groups: list
 
-    @classmethod
-    def dense(cls, t: np.ndarray, delta: np.ndarray | None = None) -> "PixelSamples":
-        h, w, k = t.shape
-        idx = np.arange(h * w)
-        return cls(h, w, [(idx, t.reshape(h * w, k),
-                           None if delta is None else delta.reshape(h * w, k))])
-
 
 def _quadrature_weights(sigma: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Volume-rendering weights w_i = T_i (1 - exp(-sigma_i delta_i)); running
@@ -301,9 +294,8 @@ def render_uniform(scene: SceneOracle, camera: Camera, spp: int,
         t = t_near[:, None] + frac * (t_far - t_near)[:, None]
     else:
         raise ValueError(f"unknown uniform mode {mode!r}")
-    h, w = camera.height, camera.width
-    return render_full(scene, camera, PixelSamples.dense(t.reshape(h, w, spp)),
-                       workers=workers)
+    samples = PixelSamples(camera.height, camera.width, [(np.arange(o.shape[0]), t, None)])
+    return render_full(scene, camera, samples, workers=workers)
 
 
 def certified_empty(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,

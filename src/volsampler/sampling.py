@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_U64 = np.uint64
-
 
 def derive_seed(*parts: int) -> int:
-    """Stable 64-bit subseed from an integer path (seed, trial, stream, ...)."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
+    """Stable 64-bit subseed from an integer path (seed, trial, stream, ...);
+    every part is hashed whole, none folded to fewer bits."""
+    ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
@@ -33,9 +32,9 @@ def block_uniforms(seed: int, stream: int, shape) -> np.ndarray:
 
     Row i of the block is pixel i's private variate budget: the layout is
     fixed by the shape, so chunked/parallel consumers see identical values.
+    A seed or stream outside [0, 2**64) raises OverflowError.
     """
-    bg = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                                        stream & 0xFFFFFFFFFFFFFFFF], dtype=_U64))
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     return np.random.Generator(bg).random(shape)
 
 

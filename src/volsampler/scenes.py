@@ -27,6 +27,7 @@ DENSITY_ZERO_BETAS = 38.0
 _LIGHT_DIR = normalize(np.array([0.45, 0.70, 0.55]))
 _AMBIENT = 0.25
 _DIFFUSE = 0.75
+_SPEC_POWER = 16.0
 
 
 def laplace_density(s, beta):
@@ -106,7 +107,6 @@ class SceneOracle:
     _surface: Callable = None  # p -> (unit normal, albedo)
     _beta: Callable = None
     specular: float = 0.0
-    spec_power: float = 16.0
     beta_max: float = BETA_MAX
 
     def sdf(self, p: np.ndarray) -> np.ndarray:
@@ -131,7 +131,7 @@ class SceneOracle:
             half = normalize(_LIGHT_DIR - np.asarray(v, dtype=np.float64))
             n_half = (n[..., 0] * half[..., 0] + n[..., 1] * half[..., 1]
                       + n[..., 2] * half[..., 2])
-            spec = np.maximum(n_half, 0.0) ** self.spec_power
+            spec = np.maximum(n_half, 0.0) ** _SPEC_POWER
             rgb = rgb + self.specular * spec[..., None]
         return np.clip(rgb, 0.0, 1.0)
 
@@ -268,14 +268,11 @@ def _build_textured_sphere(params):
 
 
 def _build_wall(params):
-    z0 = params["wall_z"]
-
-    def sdf(p):
-        return p[..., 2] - z0
-
+    """The plane z = 0."""
     def normal(p):
         return np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape)
-    return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.70, 0.70, 0.72))),
+    return dict(_sdf=lambda p: p[..., 2],
+                _surface=_surface(normal, _constant_albedo((0.70, 0.70, 0.72))),
                 **_constant_beta(params["beta"]))
 
 
@@ -290,23 +287,12 @@ _BUILDERS = {
 
 SCENE_NAMES = ("sphere", "two-spheres", "torus", "blended-union", "textured-sphere")
 
-_DEFAULTS = {
-    "beta": 0.025,
-    "wall_z": 0.0,
-}
 
-
-def make_scene(name: str, **overrides) -> SceneOracle:
-    """Build a scene from the catalog; keyword overrides replace defaults."""
+def make_scene(name: str, beta: float | None = None) -> SceneOracle:
+    """Build a scene from the catalog; beta None keeps the default 0.025."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown scene {name!r}; have {sorted(_BUILDERS)}")
-    params = dict(_DEFAULTS)
-    for k, val in overrides.items():
-        if val is None:
-            continue
-        if k not in params:
-            raise ValueError(f"unknown scene parameter {k!r}")
-        params[k] = float(val)
+    params = {"beta": 0.025 if beta is None else float(beta)}
     parts = _BUILDERS[name](params)
     parts["beta_max"] = float(np.clip(parts["beta_max"], BETA_MIN, BETA_MAX))
     return SceneOracle(name=name, params=params, **parts)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -270,8 +271,11 @@ BAD_INPUTS = [
     ("train-proposal --steps 0", ""),
     ("info", "sampler.tau = 0"),
     ("info", "camera.height = 18"),
+    ("render --workers -3", ""),
 ] + [(f"{command} --seed -1", "") for command in SUBCOMMANDS
-     ] + [("render", line) for line in REMOVED_KEYS]
+     ] + [(f"{command} --seed {2**64}", "") for command in SUBCOMMANDS
+          ] + [(f"{command} --workers 0", "") for command in SUBCOMMANDS
+               ] + [("render", line) for line in REMOVED_KEYS]
 
 
 @pytest.mark.parametrize("command,extra", BAD_INPUTS,
@@ -287,6 +291,55 @@ def test_invalid_value_exits_2(tmp_path, capsys, command, extra):
     assert "config error:" in err
     if extra in REMOVED_KEYS:
         assert "unknown config key" in err
+
+
+def test_seeds_that_differ_give_different_bench_csv(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY)
+    csv = []
+    for seed in (0, 2**32):
+        out = tmp_path / str(seed)
+        assert main(["bench", "--deterministic", "--seed", str(seed), "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        csv.append((out / "bench.csv").read_bytes())
+    assert csv[0] != csv[1]
+
+
+def test_render_spp_sets_flat_methods_only(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY)
+    argv = ["render", "--config", str(cfg), "--out-dir"]
+    assert main(argv + [str(tmp_path / "a"), "--spp", "64"]) == 2
+    err = capsys.readouterr().err
+    for key in ("sampler.base_spp", "sampler.boosted_spp", "sampler.boosted_fraction"):
+        assert key in err
+    frames = []
+    for name, flag in [("default", []), ("given", ["--spp", "16"])]:
+        out = tmp_path / name
+        assert main(argv + [str(out), "--method", "robust"] + flag) == 0
+        assert "[robust, spp 16]" in capsys.readouterr().out
+        frames.append((out / "two-spheres_robust.pfm").read_bytes())
+    assert frames[0] == frames[1]
+
+
+def test_non_finite_training_writes_no_checkpoint(tmp_path):
+    # an lr of 1e308 overflows float32 in the Adam update and leaves NaN in
+    # every parameter after one step; run as a process, as a user runs it,
+    # so the overflow warning stays a warning
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scene.name = wall\ncamera.height = 16\ncamera.width = 16\n"
+                   "render.z_bins = 16\nsampler.base_spp = 8\nproposal.hidden_channels = 4\n"
+                   "train.steps = 1\ntrain.patch = 8\ntrain.lr = 1e308\n")
+    out = tmp_path / "o"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-m", "volsampler", "train-proposal", "--config",
+                          str(cfg), "--out-dir", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 3, res.stderr
+    assert "checkpoint error: non-finite values in conv1.w" in res.stderr
+    assert not (out / "proposal.vsmp").exists()
 
 
 def test_main_leaves_numpy_error_state_unchanged(tmp_path):
@@ -359,6 +412,17 @@ def _header_offsets(net: ProposalNet) -> list[int]:
     return offsets
 
 
+def _value_offset(net: ProposalNet, name: str) -> int:
+    """Byte offset of the first value of tensor `name` in a checkpoint of net."""
+    pos = 12
+    for p in net.params:
+        pos += 4 + 4 * p.value.ndim
+        if p.name == name:
+            return pos
+        pos += 4 * p.value.size
+    raise KeyError(name)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_damaged_checkpoint_exits_3(data):
@@ -413,9 +477,12 @@ def test_any_config_bytes_exit_0_or_2(raw):
 @pytest.mark.parametrize("tensor,value", [("conv1.w", np.nan), ("conv6.b", np.inf)])
 def test_non_finite_checkpoint_exits_3(tmp_path, capsys, command, tensor, value):
     net = ProposalNet(z_bins=48, hidden=4)
-    next(p for p in net.params if p.name == tensor).value.flat[0] = value
     ckpt = tmp_path / "net.vsmp"
     save_checkpoint(net, ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    at = _value_offset(net, tensor)
+    raw[at:at + 4] = struct.pack("<f", value)
+    ckpt.write_bytes(bytes(raw))
     cfg = tmp_path / "c.cfg"
     cfg.write_text(TINY + "proposal.source = checkpoint\nproposal.hidden_channels = 4\n"
                    f"proposal.checkpoint = {ckpt}\n")

@@ -226,7 +226,7 @@ class TestAdam:
     def test_first_step_matches_hand_formula(self):
         p = nn.Param("w", np.array([1.0]))
         p.grad = np.array([2.0])
-        st = nn.AdamState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        st = nn.AdamState(lr=0.1)
         nn.adam_step([p], st)
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = 1.0 - 0.1 * 2.0 / (np.sqrt(4.0) + 1e-8)

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import small_camera
+from conftest import small_camera, vacuum_scene
 from volsampler import proposal
 from volsampler.geometry import Camera
 from volsampler.nn import (AdamState, adam_step, he_init, softmax_ce,
@@ -613,9 +613,9 @@ class TestPatchWindows:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(ProposalNet, "forward", counting_forward)
-        behind = make_scene("wall", beta=5e-3, wall_z=-1.5)  # behind the scene box
-        loss = train_step(net, opt, dense_truth(behind, cam, 16), FixedOrigin(26, 30),
-                          cfg, probe=render_probe(behind, probe_camera(cam), 16))
+        empty = vacuum_scene()  # no surface anywhere
+        loss = train_step(net, opt, dense_truth(empty, cam, 16), FixedOrigin(26, 30),
+                          cfg, probe=render_probe(empty, probe_camera(cam), 16))
         assert loss == 0.0 and not calls
         ref_net.zero_grads()
         adam_step(ref_net.params, ref_opt)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_camera
-from volsampler.regularizers import (RegularizerConfig, decision_loss,
-                                     surface_loss, total_loss)
+from volsampler.regularizers import RegularizerConfig, decision_loss, surface_loss
 from volsampler.render import render_uniform
 from volsampler.scenes import make_scene
 
@@ -61,13 +60,6 @@ class TestTotalLoss:
     def cfg(self, **kw):
         return RegularizerConfig(**kw)
 
-    def test_zero_weights(self):
-        cfg = self.cfg(lambda_sampler=0, lambda_surface=0, lambda_dec=0)
-        assert total_loss(1.0, 2.0, 3.0, cfg) == 0.0
-
-    def test_unit_weights_sum(self):
-        assert total_loss(1.0, 2.0, 3.0, self.cfg()) == pytest.approx(6.0)
-
     def test_anneal_schedule_linear(self):
         cfg = self.cfg(b_target_start=0.01, b_target_end=0.001, b_target_steps=100)
         assert cfg.b_target_at(0) == pytest.approx(0.01)
@@ -78,5 +70,3 @@ class TestTotalLoss:
     def test_validation(self):
         with pytest.raises(ValueError):
             self.cfg(b_target_end=0.0)
-        with pytest.raises(ValueError):
-            self.cfg(lambda_surface=-1.0)

@@ -291,10 +291,9 @@ def two_pass_reference(scene, camera, total, seed):
     edges = np.sort(np.concatenate([coarse_edges, t_fine], axis=1), axis=1)
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     width = np.diff(edges, axis=1)
-    h, w = camera.height, camera.width
     with mock.patch.object(render, "certified_empty", no_certificate):
-        return render_full(scene, camera, PixelSamples.dense(
-            mid.reshape(h, w, total + 1), width.reshape(h, w, total + 1)))
+        return render_full(scene, camera, PixelSamples(
+            camera.height, camera.width, [(np.arange(n), mid, width)]))
 
 
 class TestReferenceChunks:

@@ -100,8 +100,10 @@ class TestSceneQueries:
     def test_unknown_scene_and_param(self):
         with pytest.raises(ValueError):
             make_scene("mystery")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             make_scene("sphere", wobble=3)
+        with pytest.raises(TypeError):
+            make_scene("sphere", wall_z=0.0)
 
 
 class TestBetaMax:
