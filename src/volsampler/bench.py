@@ -16,7 +16,6 @@ sampler-free studies).
 from __future__ import annotations
 
 import io
-import math
 import time
 from dataclasses import dataclass
 
@@ -113,8 +112,10 @@ class Pipeline:
         """Every invalid value raises ConfigError."""
         _require(0 <= seed < 2**64, "seed must be in [0, 2**64)")
         _require(workers >= 1, "workers must be >= 1")
-        scene = _build("scene", make_scene, name=cfg.get("scene.name"),
-                       beta=cfg.get_opt_float("scene.beta"))
+        beta = cfg.get_opt_float("scene.beta")
+        _require(beta is None or BETA_MIN <= beta <= BETA_MAX,
+                 f"scene.beta must be in [{BETA_MIN}, {BETA_MAX}]")
+        scene = _build("scene", make_scene, name=cfg.get("scene.name"), beta=beta)
         camera = _build("camera", Camera, position=cfg.get_vec3("camera.position"),
                         look_at=cfg.get_vec3("camera.look_at"),
                         up=cfg.get_vec3("camera.up"),
@@ -125,8 +126,6 @@ class Pipeline:
                         base_spp=cfg.get_int("sampler.base_spp"),
                         boosted_spp=cfg.get_int("sampler.boosted_spp"),
                         boosted_fraction=cfg.get_float("sampler.boosted_fraction"))
-        _require(BETA_MIN <= scene.params["beta"] <= BETA_MAX,
-                 f"scene.beta must be in [{BETA_MIN}, {BETA_MAX}]")
         _require(camera.height % UPSCALE == 0 and camera.width % UPSCALE == 0,
                  f"camera.height and camera.width must be multiples of {UPSCALE}"
                  f" (the probe renders at 1/{UPSCALE} of them)")
@@ -148,7 +147,8 @@ class Pipeline:
                                lr=cfg.get_float("train.lr"),
                                patch=cfg.get_int("train.patch"), z_bins=z_bins)
         _require(training.steps >= 1, "train.steps must be >= 1")
-        _require(0.0 < training.lr < math.inf, "train.lr must be positive")
+        lr_max = float(np.finfo(np.float32).max)  # the net and its Adam update are float32
+        _require(0.0 < training.lr <= lr_max, f"train.lr must be in (0, {lr_max}]")
         _require(training.patch >= 1, "train.patch must be >= 1")
 
         methods = tuple(cfg.get_list("bench.methods"))
@@ -191,18 +191,6 @@ def rows_to_csv(rows: list[MetricRow]) -> str:
     for r in rows:
         out.write(r.to_csv() + "\n")
     return out.getvalue()
-
-
-def parse_csv(text: str) -> list[MetricRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("bad CSV header")
-    rows = []
-    for ln in lines[1:]:
-        m, spp, trial, p, w10, w1, w01, ms = ln.split(",")
-        rows.append(MetricRow(m, int(spp), int(trial), float(p), float(w10),
-                              float(w1), float(w01), float(ms)))
-    return rows
 
 
 _TRAIN_HINT = ("train one with `volsampler train-proposal`, or set "
@@ -295,9 +283,10 @@ def robust_samples(prop: ProposalField, spp_map: np.ndarray, seed: int,
     its sample count is its budget (spp_map counts the new samples only)
     plus the number of bins its parent lifts that lie before its own t_far,
     and rows are grouped by both. Without the merge every pixel lifts none.
-    This is the one place a proposal-guided sample gets its quadrature
-    delta: the gap to the next sample (the last one's to t_far), clipped to
-    one bin width.
+    The samples of the robust method and of the adaptive render get their
+    quadrature delta here: the gap to the next sample (the last one's to
+    t_far), clipped to one bin width. The unstratified and stratified
+    methods pass no deltas, so field_weights takes their gaps unclipped.
 
     The nucleus, the thinning and the allocation run once per distinct
     proposal row (per budget); per-pixel intervals and variates enter after.

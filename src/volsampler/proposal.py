@@ -34,6 +34,8 @@ HALO = 4
 CHECKPOINT_MAGIC = b"VSMP"
 CHECKPOINT_VERSION = 1
 LR_END_FACTOR = 0.1  # the cosine schedule decays lr to lr * LR_END_FACTOR
+TARGET_BLUR_SIGMA = 1.0  # build_target's Gaussian blur along bins, in bins
+TARGET_SUPPRESS_EPS = 5e-3  # build_target zeroes blurred weights below this
 
 
 @dataclass
@@ -45,9 +47,7 @@ class SupervisionTarget:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """1D Gaussian over 3 taps per side, renormalized; sigma == 0 is the identity."""
-    if sigma <= 0.0:
-        return np.array([1.0])
+    """1D Gaussian over 3 taps per side, renormalized."""
     x = np.arange(-3, 4, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
@@ -66,19 +66,18 @@ def blur_bins(weights: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def build_target(p_patch: np.ndarray, blur_sigma: float = 1.0,
-                 suppress_eps: float = 5e-3) -> SupervisionTarget:
+def build_target(p_patch: np.ndarray) -> SupervisionTarget:
     """Clean a ground-truth weight patch into supervision distributions.
 
-    Per ray: Gaussian-blur along bins, zero entries below suppress_eps,
-    L1-normalize. Rays with nothing left are flagged invalid and excluded
-    from the loss.
+    Per ray: Gaussian-blur along bins (TARGET_BLUR_SIGMA), zero entries
+    below TARGET_SUPPRESS_EPS, L1-normalize. Rays with nothing left are
+    flagged invalid and excluded from the loss.
     """
     p = np.asarray(p_patch, dtype=np.float64)
     if np.any(p < 0.0):
         raise ValueError("weights must be nonnegative")
-    b = blur_bins(p, blur_sigma)
-    b[b < suppress_eps] = 0.0
+    b = blur_bins(p, TARGET_BLUR_SIGMA)
+    b[b < TARGET_SUPPRESS_EPS] = 0.0
     total = b.sum(axis=0)
     valid = total > 0.0
     b = np.where(valid[None], b / np.where(valid, total, 1.0)[None], 0.0)

@@ -8,7 +8,7 @@ saturates at 1/beta deep inside a surface and decays to zero outside.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -102,9 +102,8 @@ class SceneOracle:
     """
 
     name: str
-    params: dict = field(default_factory=dict)
     _sdf: Callable = None
-    _surface: Callable = None  # p -> (unit normal, albedo)
+    _surface: Callable = None  # p -> (unit SDF gradient, albedo)
     _beta: Callable = None
     specular: float = 0.0
     beta_max: float = BETA_MAX
@@ -115,10 +114,6 @@ class SceneOracle:
     def beta_field(self, p: np.ndarray) -> np.ndarray:
         b = self._beta(np.asarray(p, dtype=np.float64))
         return np.clip(b, BETA_MIN, BETA_MAX)
-
-    def normals(self, p: np.ndarray) -> np.ndarray:
-        """Unit SDF gradient (analytic per scene)."""
-        return self._surface(np.asarray(p, dtype=np.float64))[0]
 
     def radiance(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
@@ -168,13 +163,13 @@ def _surface(normal, albedo):
     return lambda p: (normal(p), albedo(p))
 
 
-def _build_sphere(params):
+def _build_sphere(beta):
     r = 1.0
     c = (0.0, 0.0, 0.0)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
                 _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1],
                                   _constant_albedo((0.80, 0.56, 0.34))),
-                **_constant_beta(params["beta"]))
+                **_constant_beta(beta))
 
 
 # laterally separated with a visible gap: silhouettes fall on background, and
@@ -183,7 +178,7 @@ def _build_sphere(params):
 _TWO_SPHERES = (np.array([-0.55, 0.0, 0.30]), 0.42, np.array([0.42, 0.0, -0.30]), 0.48)
 
 
-def _build_two_spheres(params):
+def _build_two_spheres(beta):
     ca, ra, cb, rb = _TWO_SPHERES
 
     def sdf(p):
@@ -196,10 +191,10 @@ def _build_two_spheres(params):
         return (np.where(nearest_a, na, nb),
                 np.where(nearest_a, np.array([0.85, 0.30, 0.25]),
                          np.array([0.25, 0.45, 0.85])))
-    return dict(_sdf=sdf, _surface=surface, **_constant_beta(params["beta"]))
+    return dict(_sdf=sdf, _surface=surface, **_constant_beta(beta))
 
 
-def _build_torus(params):
+def _build_torus(beta):
     c = (0.0, -0.05, 0.0)
     major, minor = 0.55, 0.25
 
@@ -216,10 +211,10 @@ def _build_torus(params):
         n = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
         return g / np.maximum(n, 1e-12)
     return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.35, 0.75, 0.40))),
-                **_constant_beta(params["beta"]))
+                **_constant_beta(beta))
 
 
-def _build_blended_union(params):
+def _build_blended_union(beta):
     ca, ra = np.array([-0.30, -0.05, 0.10]), 0.45
     cb, rb = np.array([0.35, 0.12, -0.12]), 0.40
     k = 0.30
@@ -239,13 +234,12 @@ def _build_blended_union(params):
         t = np.clip(0.5 + p[..., 0], 0.0, 1.0)[..., None]
         return (1.0 - t) * np.array([0.75, 0.60, 0.25]) + t * np.array([0.45, 0.35, 0.70])
     return dict(_sdf=sdf, _surface=_surface(normal, albedo),
-                **_constant_beta(params["beta"]))
+                **_constant_beta(beta))
 
 
-def _build_textured_sphere(params):
+def _build_textured_sphere(beta):
     r = 0.68
     c = (0.0, 0.0, 0.0)
-    base = params["beta"]
     band = 0.04
 
     def albedo(p):
@@ -261,19 +255,19 @@ def _build_textured_sphere(params):
 
     def beta_f(p):
         # Fuzzy equatorial band: variance rises where |y| is small.
-        return base + band * np.exp(-(p[..., 1] / 0.18) ** 2)
+        return beta + band * np.exp(-(p[..., 1] / 0.18) ** 2)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
                 _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1], albedo),
-                _beta=beta_f, beta_max=base + band, specular=0.35)
+                _beta=beta_f, beta_max=beta + band, specular=0.35)
 
 
-def _build_wall(params):
+def _build_wall(beta):
     """The plane z = 0."""
     def normal(p):
         return np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape)
     return dict(_sdf=lambda p: p[..., 2],
                 _surface=_surface(normal, _constant_albedo((0.70, 0.70, 0.72))),
-                **_constant_beta(params["beta"]))
+                **_constant_beta(beta))
 
 
 _BUILDERS = {
@@ -292,7 +286,6 @@ def make_scene(name: str, beta: float | None = None) -> SceneOracle:
     """Build a scene from the catalog; beta None keeps the default 0.025."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown scene {name!r}; have {sorted(_BUILDERS)}")
-    params = {"beta": 0.025 if beta is None else float(beta)}
-    parts = _BUILDERS[name](params)
+    parts = _BUILDERS[name](0.025 if beta is None else float(beta))
     parts["beta_max"] = float(np.clip(parts["beta_max"], BETA_MIN, BETA_MAX))
-    return SceneOracle(name=name, params=params, **parts)
+    return SceneOracle(name=name, **parts)

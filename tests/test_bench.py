@@ -8,9 +8,8 @@ from conftest import small_camera, vacuum_scene
 from volsampler import bench
 from volsampler.bench import (CSV_HEADER, LIFT_BLUR_SIGMA, MetricRow, Pipeline,
                               _probe_lift_mask, adaptive_pipeline_render,
-                              method_samples, parent_rows, parse_csv,
-                              prepare_proposals, robust_samples, rows_to_csv,
-                              run_bench)
+                              method_samples, parent_rows, prepare_proposals,
+                              robust_samples, rows_to_csv, run_bench)
 from volsampler.config import Config
 from volsampler.metrics import psnr, worst_percentile_psnr
 from volsampler.proposal import ProposalNet, blur_bins
@@ -34,17 +33,8 @@ def tiny_spec(config=(), **fields):
 
 
 class TestCsv:
-    def test_round_trip(self):
-        rows = [MetricRow("robust", 8, 0, 31.25, 21.5, 14.125, 9.0625, 12.5),
-                MetricRow("stratified", 4, 2, 28.0, 20.0, 13.0, 8.0, 0.0)]
-        assert parse_csv(rows_to_csv(rows)) == rows
-
     def test_header_schema(self):
         assert CSV_HEADER == "method,spp,trial,psnr,worst10,worst1,worst01,ms"
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_csv("method,spp\nrobust,8\n")
 
     def test_decimal_points_locale_free(self):
         text = rows_to_csv([MetricRow("robust", 8, 0, 31.5, 21.5, 14.5, 9.5, 1.25)])

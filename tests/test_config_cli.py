@@ -269,6 +269,8 @@ BAD_INPUTS = [
     ("render --method uniform-dense --spp 0", ""),
     ("train-proposal --steps -3", ""),
     ("train-proposal --steps 0", ""),
+    ("train-proposal", "train.lr = 1e39"),  # beyond float32, the net's dtype
+    ("render", "train.lr = 3.5e38"),
     ("info", "sampler.tau = 0"),
     ("info", "camera.height = 18"),
     ("render --workers -3", ""),
@@ -323,13 +325,14 @@ def test_render_spp_sets_flat_methods_only(tmp_path, capsys):
 
 
 def test_non_finite_training_writes_no_checkpoint(tmp_path):
-    # an lr of 1e308 overflows float32 in the Adam update and leaves NaN in
-    # every parameter after one step; run as a process, as a user runs it,
-    # so the overflow warning stays a warning
+    # an lr of 3e38 fits float32, but the first Adam step moves every weight
+    # by about that much, and the second step's forward overflows and leaves
+    # NaN in every parameter; run as a process, as a user runs it, so the
+    # overflow warning stays a warning
     cfg = tmp_path / "c.cfg"
     cfg.write_text("scene.name = wall\ncamera.height = 16\ncamera.width = 16\n"
                    "render.z_bins = 16\nsampler.base_spp = 8\nproposal.hidden_channels = 4\n"
-                   "train.steps = 1\ntrain.patch = 8\ntrain.lr = 1e308\n")
+                   "train.steps = 2\ntrain.patch = 8\ntrain.lr = 3e38\n")
     out = tmp_path / "o"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -60,7 +60,7 @@ class TestBuildTarget:
         p = np.zeros((z, 1, 1))
         p[4, 0, 0] = 1.0
         kernel = gaussian_kernel(1.0)
-        tgt = build_target(p, blur_sigma=1.0, suppress_eps=5e-3)
+        tgt = build_target(p)
         expected = np.zeros(z)
         expected[1:8] = kernel
         expected[np.abs(expected) < 5e-3] = 0.0
@@ -75,24 +75,6 @@ class TestBuildTarget:
         tgt = build_target(p)
         assert tgt.valid[0, 0] and not tgt.valid[1, 0]
         np.testing.assert_array_equal(tgt.probs[:, 1, 0], np.zeros(8))
-
-    def test_suppress_without_blur(self):
-        p = np.zeros((8, 1, 1))
-        p[0, 0, 0] = 0.004
-        p[1, 0, 0] = 0.996
-        tgt = build_target(p, blur_sigma=0.0, suppress_eps=5e-3)
-        expected = np.zeros(8)
-        expected[1] = 1.0
-        np.testing.assert_allclose(tgt.probs[:, 0, 0], expected, atol=1e-15)
-
-    def test_idempotent_after_normalization(self, rng):
-        # valid weight rows sum to <= 1, so normalization only scales entries
-        # up and the second suppress pass removes nothing
-        p = rng.random((16, 3, 3)) * 0.05
-        assert np.all(p.sum(axis=0) <= 1.0)
-        once = build_target(p, blur_sigma=0.0)
-        twice = build_target(once.probs, blur_sigma=0.0)
-        np.testing.assert_allclose(twice.probs, once.probs, atol=1e-12)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):

@@ -76,7 +76,7 @@ class TestSceneQueries:
             g[:, ax] = sc.sdf(p + dp) - sc.sdf(p - dp)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         keep = norms[:, 0] > 1e-6
-        np.testing.assert_allclose(sc.normals(p)[keep], (g / norms)[keep],
+        np.testing.assert_allclose(sc._surface(p)[0][keep], (g / norms)[keep],
                                    atol=5e-4)
 
     def test_two_spheres_shades_with_the_nearer_sphere(self, rng):
