@@ -6,8 +6,8 @@ Global flags: --config, --seed (in [0, 2**64)), --workers (>= 1), --out-dir,
 16); `--method adaptive` takes its budget from the sampler.* keys and
 refuses --spp.
 Exit codes: 0 success, 2 config error, 3 missing or malformed checkpoint
-(also when training leaves a NaN or infinite parameter, so no checkpoint
-is written), 4 I/O error.
+(also when training meets a NaN or infinite loss, where it stops, or leaves
+a NaN or infinite parameter; no checkpoint is written then), 4 I/O error.
 """
 from __future__ import annotations
 

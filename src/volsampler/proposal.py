@@ -399,7 +399,8 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
     The probe and the truth (the dense weight grid at full resolution, at
     the probe's bin midpoints, unshaded: dense_weights) are deterministic,
     so each is rendered once, on `workers` threads, and every step slices
-    its patch from the truth.
+    its patch from the truth. Training stops at the first NaN or infinite
+    loss with CheckpointError, since no checkpoint is written from it.
     """
     rng = np.random.default_rng(seed)
     opt = AdamState(lr=cfg.lr)
@@ -410,6 +411,8 @@ def train(net: ProposalNet, scene: SceneOracle, camera_full: Camera,
     for step in range(cfg.steps):
         opt.lr = cfg.lr_at(step)
         loss = train_step(net, opt, truth, rng, cfg, probe=probe)
+        if not np.isfinite(loss):
+            raise CheckpointError(f"training loss is {loss} at step {step + 1}")
         losses.append(loss)
         if log_every and (step + 1) % log_every == 0:
             recent = np.mean(losses[-log_every:])

@@ -5,7 +5,10 @@ proposal network), accumulated-variance images, and expected depth.
 Integration is two steps: field_weights gives every sample point its SDF,
 beta and quadrature weight, and weighted_radiance shades only the points
 with nonzero weight and sums w * rgb per ray, since a zero weight adds
-0 * rgb == 0 to the pixel either way. Callers that read weights only (the
+0 * rgb == 0 to the pixel either way. The sample points travel as three
+contiguous component planes (3, N, K), with one view direction per ray
+(see SceneOracle.fields): numpy runs its inner loop over the last axis,
+and a last axis of 3 is slow. Callers that read weights only (the
 reference's coarse pass, dense_weights) skip the second step. Pixels are
 embarrassingly parallel: the image is cut into chunks of about
 _CHUNK_POINTS sample points, which keeps each per-point temporary within a
@@ -91,22 +94,21 @@ def field_weights(scene: SceneOracle, origins: np.ndarray, dirs: np.ndarray,
 
     Returns weights (N, K), beta (N, K) and shade, where shade(rows) is the
     radiance at the flattened samples rows (see SceneOracle.fields); nothing
-    is shaded here. The last interval is capped at the far plane unless
-    explicit deltas are supplied.
+    is shaded here. The fields get the points as a view of their component
+    planes and the N ray directions. The last interval is capped at the far
+    plane unless explicit deltas are supplied.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] < 1:
         raise ValueError("need at least one sample per ray")
 
-    # one component at a time: numpy broadcasts over a last axis of 3 slowly
+    # the points as three contiguous component planes (see the module docstring)
     n, k = t.shape
-    p = np.empty((n, k, 3))
-    v = np.empty((n, k, 3))
+    planes = np.empty((3, n, k))
     for c in range(3):
-        np.multiply(t, dirs[:, c, None], out=p[:, :, c])
-        p[:, :, c] += origins[:, c, None]
-        v[:, :, c] = dirs[:, c, None]
-    s, beta, shade = scene.fields(p.reshape(-1, 3), v.reshape(-1, 3))
+        np.multiply(t, dirs[:, c, None], out=planes[c])
+        planes[c] += origins[:, c, None]
+    s, beta, shade = scene.fields(planes.reshape(3, -1).T, dirs)
     s = s.reshape(n, k)
     beta = beta.reshape(n, k)
 

@@ -70,10 +70,17 @@ def _sphere_sdf(p, center, radius):
 
 
 def _sphere_sdf_normal(p, center, radius):
-    """Signed distance and unit outward normal from one |p - center|."""
-    d = p - np.asarray(center)
-    r = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
-    return r - radius, d / np.maximum(r, 1e-12)[..., None]
+    """Signed distance and unit outward normal planes from one |p - center|."""
+    d = [p[..., c] - center[c] for c in range(3)]
+    r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    r_safe = np.maximum(r, 1e-12)
+    return r - radius, [dc / r_safe for dc in d]
+
+
+def _unit(g):
+    """The unit vectors of the component planes g, as planes."""
+    n = np.maximum(np.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2]), 1e-12)
+    return [gc / n for gc in g]
 
 
 def _torus_sdf(p, center, major, minor):
@@ -103,7 +110,7 @@ class SceneOracle:
 
     name: str
     _sdf: Callable = None
-    _surface: Callable = None  # p -> (unit SDF gradient, albedo)
+    _surface: Callable = None  # p -> (unit SDF gradient, albedo) as 3 planes each
     _beta: Callable = None
     specular: float = 0.0
     beta_max: float = BETA_MAX
@@ -115,32 +122,55 @@ class SceneOracle:
         b = self._beta(np.asarray(p, dtype=np.float64))
         return np.clip(b, BETA_MIN, BETA_MAX)
 
-    def radiance(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def radiance(self, p: np.ndarray, v: np.ndarray, ray: np.ndarray) -> np.ndarray:
+        """RGB (M, 3) at points p (M, 3), point i seen along v[ray[i]] of the
+        ray directions v (N, 3). Computed one component plane at a time, it
+        is an (M, 3) view of (3, M) colour planes; the specular half vector
+        is normalized once per ray and gathered per point.
+        """
         p = np.asarray(p, dtype=np.float64)
         n, albedo = self._surface(p)
-        lambert = np.maximum(n @ _LIGHT_DIR, 0.0)
+        # a matmul on C-ordered normals: BLAS's dot sets the lambert bits
+        lambert = np.maximum(np.stack(n, axis=-1) @ _LIGHT_DIR, 0.0)
         shade = _AMBIENT + _DIFFUSE * lambert
-        rgb = albedo * shade[..., None]
+        rgb = np.empty((3,) + shade.shape)
+        for c in range(3):
+            np.multiply(albedo[c], shade, out=rgb[c])
         if self.specular > 0.0:
             # Blinn-Phong lobe towards the viewer (v points along the ray).
             half = normalize(_LIGHT_DIR - np.asarray(v, dtype=np.float64))
-            n_half = (n[..., 0] * half[..., 0] + n[..., 1] * half[..., 1]
-                      + n[..., 2] * half[..., 2])
-            spec = np.maximum(n_half, 0.0) ** _SPEC_POWER
-            rgb = rgb + self.specular * spec[..., None]
-        return np.clip(rgb, 0.0, 1.0)
+            half = np.take(half.T, ray, axis=1)
+            n_half = n[0] * half[0] + n[1] * half[1] + n[2] * half[2]
+            rgb += self.specular * np.maximum(n_half, 0.0) ** _SPEC_POWER
+        return np.clip(rgb, 0.0, 1.0, out=rgb).T
 
     def fields(self, p: np.ndarray, v: np.ndarray):
-        """(s, beta, shade) at points p (M, 3) viewed along v (M, 3).
+        """(s, beta, shade) at points p (M, 3) of the N rays with directions
+        v (N, 3): ray-major, k = M / N points per ray. Per-point views are the
+        case k = 1.
 
         Every sample point passes through here once. The renderers'
         sphere-tracing queries prove rays empty and sample nothing; they call
         sdf. Shading costs several times the SDF, so it is deferred:
-        shade(rows) is the radiance at p[rows] along v[rows], and renderers
-        call it on the points that carry quadrature weight only.
+        shade(rows) is the radiance at the flattened points rows (an index
+        array, or slice(None) for every point), and renderers call it on the
+        points that carry quadrature weight only.
+
+        Scene queries read p one component at a time, so callers pass p as a
+        view of three contiguous component planes (field_weights passes
+        planes.reshape(3, -1).T), from which shade gathers its points.
         """
         p = np.asarray(p, dtype=np.float64)
-        return self.sdf(p), self.beta_field(p), lambda rows: self.radiance(p[rows], v[rows])
+        k, extra = divmod(len(p), len(v))
+        if extra:
+            raise ValueError("points must be k per view direction")
+        planes = p.T
+
+        def shade(rows):
+            if isinstance(rows, slice):  # slice(None): every point, no gather
+                return self.radiance(p, v, np.repeat(np.arange(len(v)), k))
+            return self.radiance(np.take(planes, rows, axis=1).T, v, rows // k)
+        return self.sdf(p), self.beta_field(p), shade
 
 
 def _constant_beta(value):
@@ -148,14 +178,6 @@ def _constant_beta(value):
     def f(p):
         return np.full(p.shape[:-1], float(value))
     return dict(_beta=f, beta_max=value)
-
-
-def _constant_albedo(rgb):
-    c = np.asarray(rgb, dtype=np.float64)
-
-    def f(p):
-        return np.broadcast_to(c, p.shape[:-1] + (3,))
-    return f
 
 
 def _surface(normal, albedo):
@@ -168,7 +190,7 @@ def _build_sphere(beta):
     c = (0.0, 0.0, 0.0)
     return dict(_sdf=lambda p: _sphere_sdf(p, c, r),
                 _surface=_surface(lambda p: _sphere_sdf_normal(p, c, r)[1],
-                                  _constant_albedo((0.80, 0.56, 0.34))),
+                                  lambda p: (0.80, 0.56, 0.34)),
                 **_constant_beta(beta))
 
 
@@ -187,10 +209,10 @@ def _build_two_spheres(beta):
     def surface(p):
         sa, na = _sphere_sdf_normal(p, ca, ra)
         sb, nb = _sphere_sdf_normal(p, cb, rb)
-        nearest_a = (sa <= sb)[..., None]
-        return (np.where(nearest_a, na, nb),
-                np.where(nearest_a, np.array([0.85, 0.30, 0.25]),
-                         np.array([0.25, 0.45, 0.85])))
+        nearest_a = sa <= sb
+        return ([np.where(nearest_a, a, b) for a, b in zip(na, nb)],
+                [np.where(nearest_a, a, b) for a, b in zip((0.85, 0.30, 0.25),
+                                                           (0.25, 0.45, 0.85))])
     return dict(_sdf=sdf, _surface=surface, **_constant_beta(beta))
 
 
@@ -207,10 +229,8 @@ def _build_torus(beta):
         dz = p[..., 2] - c[2]
         ring = np.sqrt(dx * dx + dz * dz)
         scale = (ring - major) / np.maximum(ring, 1e-12)
-        g = np.stack([dx * scale, dy, dz * scale], axis=-1)
-        n = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
-        return g / np.maximum(n, 1e-12)
-    return dict(_sdf=sdf, _surface=_surface(normal, _constant_albedo((0.35, 0.75, 0.40))),
+        return _unit([dx * scale, dy, dz * scale])
+    return dict(_sdf=sdf, _surface=_surface(normal, lambda p: (0.35, 0.75, 0.40)),
                 **_constant_beta(beta))
 
 
@@ -225,14 +245,12 @@ def _build_blended_union(beta):
     def normal(p):
         a, na = _sphere_sdf_normal(p, ca, ra)
         b, nb = _sphere_sdf_normal(p, cb, rb)
-        h = np.clip(0.5 + 0.5 * (b - a) / k, 0.0, 1.0)[..., None]
-        g = h * na + (1.0 - h) * nb
-        n = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
-        return g / np.maximum(n, 1e-12)
+        h = np.clip(0.5 + 0.5 * (b - a) / k, 0.0, 1.0)
+        return _unit([h * ga + (1.0 - h) * gb for ga, gb in zip(na, nb)])
 
     def albedo(p):
-        t = np.clip(0.5 + p[..., 0], 0.0, 1.0)[..., None]
-        return (1.0 - t) * np.array([0.75, 0.60, 0.25]) + t * np.array([0.45, 0.35, 0.70])
+        t = np.clip(0.5 + p[..., 0], 0.0, 1.0)
+        return [(1.0 - t) * a + t * b for a, b in zip((0.75, 0.60, 0.25), (0.45, 0.35, 0.70))]
     return dict(_sdf=sdf, _surface=_surface(normal, albedo),
                 **_constant_beta(beta))
 
@@ -249,9 +267,8 @@ def _build_textured_sphere(beta):
         radius = np.maximum(np.sqrt(x * x + y * y + z * z), 1e-9)
         phi = np.arcsin(np.clip(p[..., 1] / radius, -1.0, 1.0))
         cval = 0.5 + 0.5 * np.tanh(4.0 * np.sin(6.0 * theta) * np.sin(6.0 * phi))
-        dark = np.array([0.20, 0.22, 0.45])
-        light = np.array([0.90, 0.85, 0.60])
-        return dark + (light - dark) * cval[..., None]
+        return [dark + (light - dark) * cval
+                for dark, light in zip((0.20, 0.22, 0.45), (0.90, 0.85, 0.60))]
 
     def beta_f(p):
         # Fuzzy equatorial band: variance rises where |y| is small.
@@ -264,9 +281,10 @@ def _build_textured_sphere(beta):
 def _build_wall(beta):
     """The plane z = 0."""
     def normal(p):
-        return np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape)
+        zero = np.zeros(p.shape[:-1])
+        return [zero, zero, zero + 1.0]
     return dict(_sdf=lambda p: p[..., 2],
-                _surface=_surface(normal, _constant_albedo((0.70, 0.70, 0.72))),
+                _surface=_surface(normal, lambda p: (0.70, 0.70, 0.72)),
                 **_constant_beta(beta))
 
 

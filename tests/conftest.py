@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from volsampler.geometry import Camera
+from volsampler.proposal import ProposalNet
 from volsampler.scenes import SceneOracle
 
 
@@ -15,10 +18,20 @@ def vacuum_scene() -> SceneOracle:
     return SceneOracle(
         name="vacuum",
         _sdf=lambda p: np.full(p.shape[:-1], 10.0),
-        _surface=lambda p: (np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape),
-                            np.broadcast_to(np.array([1.0, 1.0, 1.0]), p.shape[:-1] + (3,))),
+        _surface=lambda p: ([np.zeros(p.shape[:-1])] * 2 + [np.ones(p.shape[:-1])],
+                            (1.0, 1.0, 1.0)),
         _beta=lambda p: np.full(p.shape[:-1], 0.01),
     )
+
+
+def volsampler_bindings() -> list[tuple[dict, str, object]]:
+    """Every name bound in a volsampler module and in the two classes whose
+    methods the benchmark's hooks wrap: a traced test checks that each is
+    restored."""
+    owners = [vars(mod) for name, mod in sys.modules.items()
+              if mod is not None and (name == "volsampler" or name.startswith("volsampler."))]
+    owners += [vars(SceneOracle), vars(ProposalNet)]
+    return [(owner, key, value) for owner in owners for key, value in list(owner.items())]
 
 
 def ray_sphere_hit(origin, direction, center, radius):

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volsampler import proposal
 from volsampler.bench import Pipeline
 from volsampler.cli import main
 from volsampler.config import DEFAULTS, Config, ConfigError, parse_config_text
@@ -326,9 +328,9 @@ def test_render_spp_sets_flat_methods_only(tmp_path, capsys):
 
 def test_non_finite_training_writes_no_checkpoint(tmp_path):
     # an lr of 3e38 fits float32, but the first Adam step moves every weight
-    # by about that much, and the second step's forward overflows and leaves
-    # NaN in every parameter; run as a process, as a user runs it, so the
-    # overflow warning stays a warning
+    # by about that much, and the second step's forward overflows, so its
+    # loss is NaN; run as a process, as a user runs it, so the overflow
+    # warning stays a warning
     cfg = tmp_path / "c.cfg"
     cfg.write_text("scene.name = wall\ncamera.height = 16\ncamera.width = 16\n"
                    "render.z_bins = 16\nsampler.base_spp = 8\nproposal.hidden_channels = 4\n"
@@ -341,8 +343,31 @@ def test_non_finite_training_writes_no_checkpoint(tmp_path):
                           str(cfg), "--out-dir", str(out)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 3, res.stderr
-    assert "checkpoint error: non-finite values in conv1.w" in res.stderr
+    assert "checkpoint error: training loss is nan at step 2" in res.stderr
     assert not (out / "proposal.vsmp").exists()
+
+
+def test_training_stops_at_the_first_non_finite_loss(tmp_path, monkeypatch):
+    # 20 steps are configured; the loss is NaN from step 2 on
+    ckpt = tmp_path / "o" / "proposal.vsmp"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scene.name = two-spheres\ncamera.height = 16\ncamera.width = 16\n"
+                   "render.z_bins = 16\nsampler.base_spp = 8\nproposal.hidden_channels = 4\n"
+                   "train.steps = 20\ntrain.patch = 16\ntrain.lr = 3e38\n")
+    steps = []
+    train_step = proposal.train_step
+
+    def counting_step(*args, **kwargs):
+        steps.append(train_step(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(proposal, "train_step", counting_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code = main(["train-proposal", "--config", str(cfg), "--out-dir", str(ckpt.parent)])
+    assert code == 3
+    assert len(steps) <= 2 and not np.isfinite(steps[-1])
+    assert not ckpt.exists() and not (ckpt.parent / "train_loss.csv").exists()
 
 
 def test_main_leaves_numpy_error_state_unchanged(tmp_path):

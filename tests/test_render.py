@@ -68,7 +68,7 @@ class TestIntegrateRay:
         assert sc.sdf(AXIS_O + 2.8 * AXIS_D)[0] == pytest.approx(-1.0)  # the center
         assert out["weights"][0, 0] == pytest.approx(1.0, abs=1e-12)
         expected_rgb = sc.radiance(np.array([[0.0, 0.0, 0.0]]),
-                                   np.array([[0.0, 0.0, -1.0]]))[0]
+                                   np.array([[0.0, 0.0, -1.0]]), np.array([0]))[0]
         np.testing.assert_allclose(out["rgb"][0], expected_rgb, atol=1e-12)
 
     def test_vacuum_all_weights_zero(self):
@@ -112,16 +112,18 @@ class RecordingScene(SceneOracle):
         self.seen["fields"].append(np.array(p))
         return super().fields(p, v)
 
-    def radiance(self, p, v):
+    def radiance(self, p, v, ray):
         self.seen["radiance"].append(np.array(p))
-        return super().radiance(p, v)
+        return super().radiance(p, v, ray)
 
 
-# (scene, beta, camera side): tight two-spheres, where most rays miss both
-# spheres; the tight unit sphere, whose transmittance underflows to exactly 0
-# inside it; the textured sphere, whose soft band leaves no sample unweighted
-SHADING_CASES = [("two-spheres", 0.0015, 16), ("sphere", 0.0015, 16),
-                 ("textured-sphere", None, 8)]
+# (scene, beta, camera side): every catalog scene at a tight beta and at its
+# catalog beta (None). Three cases cover a property each: tight two-spheres,
+# where most rays miss both spheres; the tight unit sphere, whose
+# transmittance underflows to exactly 0 inside it; the textured sphere at
+# catalog beta, whose soft band leaves no sample unweighted
+SHADING_CASES = [(name, beta, 16 if beta else 8)
+                 for name in SCENE_NAMES for beta in (0.0015, None)]
 
 
 def _dense_batch(name, beta, res, spp=96):
@@ -142,19 +144,36 @@ class TestLiveShading:
         # eager: shade every sample, then the same weighted sum
         p = (o[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 3)
         v = np.broadcast_to(d[:, None, :], (n, k, 3)).reshape(-1, 3)
-        eager = np.sum(w[:, :, None] * sc.radiance(p, v).reshape(n, k, 3), axis=1)
+        rgb = sc.radiance(p, v, np.arange(n * k))  # one view per point
+        # C order, so that np.sum adds each ray's samples one after another
+        eager = np.sum(w[:, :, None] * np.ascontiguousarray(rgb).reshape(n, k, 3), axis=1)
         assert np.array_equal(out["rgb"], eager)
 
         live = w > 0.0
-        if name == "two-spheres":
+        if (name, beta) == ("two-spheres", 0.0015):
             assert (~live.any(axis=1)).sum() > n // 4 and live.any()
-        elif name == "sphere":
+        elif (name, beta) == ("sphere", 0.0015):
             tau = laplace_density(sc.sdf(p).reshape(n, k), out["beta"]) * np.diff(
                 np.concatenate([t, t_far[:, None]], axis=1), axis=1)
             trans = np.exp(-(np.cumsum(tau, axis=1) - tau))
             assert np.any(live.any(axis=1) & (trans == 0.0).any(axis=1))
-        else:
+        elif (name, beta) == ("textured-sphere", None):
             assert live.all()
+
+    def test_one_view_per_ray_equals_a_view_per_point(self):
+        # fields takes the N ray directions of N * k points; the tight
+        # textured sphere's specular lobe reads them, and its weighted points
+        # are a strict subset of every ray's points
+        sc, o, d, t, t_far = _dense_batch("textured-sphere", 0.0015, 16)
+        n, k = t.shape
+        rows = np.flatnonzero(integrate_batch(sc, o, d, t, t_far)["weights"] > 0.0)
+        assert k > 1 and 0 < rows.size < n * k
+        p = (o[:, None, :] + t[:, :, None] * d[:, None, :]).reshape(-1, 3)
+        views = np.repeat(d, k, axis=0)[rows]
+        per_point = sc.radiance(p[rows], views, np.arange(rows.size))
+        assert np.array_equal(sc.fields(p, d)[2](rows), per_point)
+        assert not np.array_equal(per_point, sc.radiance(p[rows], -views,
+                                                         np.arange(rows.size)))
 
     @pytest.mark.parametrize("name,beta,res", SHADING_CASES)
     def test_radiance_receives_exactly_the_weighted_points(self, name, beta, res):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,7 @@ class TestSceneQueries:
         b_s, _, b_shade = sc.fields(p, v)
         assert np.array_equal(a_s, b_s)
         assert np.array_equal(a_shade(slice(None)), b_shade(slice(None)))
-        assert np.array_equal(a_shade(slice(None)), sc.radiance(p, v))
+        assert np.array_equal(a_shade(slice(None)), sc.radiance(p, v, np.arange(64)))
 
     @pytest.mark.parametrize("name", ALL_SCENES)
     def test_sample_invariants(self, name, rng):
@@ -51,7 +53,7 @@ class TestSceneQueries:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         _, beta, shade = sc.fields(p, v)
         radiance = shade(slice(None))
-        assert np.array_equal(radiance, sc.radiance(p, v))
+        assert np.array_equal(radiance, sc.radiance(p, v, np.arange(512)))
         assert np.all(beta >= BETA_MIN) and np.all(beta <= BETA_MAX)
         assert np.all(radiance >= 0.0) and np.all(radiance <= 1.0)
 
@@ -76,7 +78,7 @@ class TestSceneQueries:
             g[:, ax] = sc.sdf(p + dp) - sc.sdf(p - dp)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         keep = norms[:, 0] > 1e-6
-        np.testing.assert_allclose(sc._surface(p)[0][keep], (g / norms)[keep],
+        np.testing.assert_allclose(np.stack(sc._surface(p)[0], axis=-1)[keep], (g / norms)[keep],
                                    atol=5e-4)
 
     def test_two_spheres_shades_with_the_nearer_sphere(self, rng):
@@ -94,8 +96,33 @@ class TestSceneQueries:
             light = np.array([0.45, 0.70, 0.55]) / np.linalg.norm([0.45, 0.70, 0.55])
             shade = 0.25 + 0.75 * np.maximum(n @ light, 0.0)
             expected[near] = np.clip(np.array(rgb) * shade[:, None], 0.0, 1.0)
-        np.testing.assert_allclose(make_scene("two-spheres").radiance(p, v), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(make_scene("two-spheres").radiance(p, v, np.arange(512)),
+                                   expected, atol=1e-12)
+
+    def test_textured_sphere_lobe_follows_each_points_ray(self, rng):
+        # oracle: the lobe by hand, 0.35 * max(n . h, 0)^16 with n = p / |p|
+        # and h the unit bisector of the light and the reversed view of the
+        # point's ray, added to the same scene's colour without the lobe
+        sc = make_scene("textured-sphere")
+        matte = dataclasses.replace(sc, specular=0.0)
+        p = rng.uniform(-1, 1, size=(512, 3))
+        v = rng.standard_normal((8, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        ray = rng.integers(0, 8, size=512)
+        light = np.array([0.45, 0.70, 0.55]) / np.linalg.norm([0.45, 0.70, 0.55])
+        h = light - v[ray]
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
+        n = p / np.linalg.norm(p, axis=1, keepdims=True)
+        lobe = 0.35 * np.maximum(np.sum(n * h, axis=1), 0.0) ** 16
+        base = matte.radiance(p, v, ray)
+        unclipped = np.all(base + lobe[:, None] < 1.0, axis=1)
+        assert np.count_nonzero(lobe[unclipped] > 1e-3) > 10
+        np.testing.assert_allclose(sc.radiance(p, v, ray)[unclipped],
+                                   base[unclipped] + lobe[unclipped, None], atol=1e-12)
+
+    def test_fields_take_k_points_per_view(self):
+        with pytest.raises(ValueError, match="k per view"):
+            make_scene("sphere").fields(np.zeros((7, 3)), np.ones((2, 3)))
 
     def test_unknown_scene_and_param(self):
         with pytest.raises(ValueError):

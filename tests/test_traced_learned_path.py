@@ -19,20 +19,11 @@ from layers import (PER_LAYER, LayerStats, Taps, install_layers,  # noqa: E402
                     install_taps, per_layer_metrics)
 from spans import Instruments, Tracer  # noqa: E402
 
+from conftest import volsampler_bindings  # noqa: E402
 from volsampler import cli, proposal  # noqa: E402
 from volsampler.bench import Pipeline  # noqa: E402
 from volsampler.config import Config  # noqa: E402
 from volsampler.proposal import ProposalNet  # noqa: E402
-from volsampler.scenes import SceneOracle  # noqa: E402
-
-
-def _bindings() -> list[tuple[dict, str, object]]:
-    """Every name bound in a volsampler module and in the two classes whose
-    methods the hooks wrap."""
-    owners = [vars(mod) for name, mod in sys.modules.items()
-              if mod is not None and (name == "volsampler" or name.startswith("volsampler."))]
-    owners += [vars(SceneOracle), vars(ProposalNet)]
-    return [(owner, key, value) for owner in owners for key, value in list(owner.items())]
 
 
 def test_traced_training_checkpoint_and_frame(tmp_path):
@@ -47,7 +38,7 @@ def test_traced_training_checkpoint_and_frame(tmp_path):
     pipe = Pipeline.from_config(Config.load(config))
     net = ProposalNet(z_bins=pipe.z_bins, hidden=pipe.hidden_channels)
 
-    before = _bindings()
+    before = volsampler_bindings()
     tracer = Tracer(enabled=True)
     ins = Instruments(tracer)
     taps, stats = Taps(), LayerStats()
